@@ -38,8 +38,35 @@ type report struct {
 	Schema string `json:"schema"`
 	// Go is the toolchain that produced the numbers.
 	Go string `json:"go"`
+	// Host identifies the machine, since wall times are only comparable
+	// on one host. Absent from reports written before it was added.
+	Host *host `json:"host,omitempty"`
 	// Scenarios holds one entry per canonical scenario, in matrix order.
 	Scenarios []scenarioReport `json:"scenarios"`
+}
+
+// host is the machine a report was measured on.
+type host struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	OS         string `json:"os"`
+	Arch       string `json:"arch"`
+}
+
+// thisHost stamps the current machine; the CPU model comes from
+// /proc/cpuinfo where it exists.
+func thisHost() *host {
+	h := &host{CPU: "unknown", NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), OS: runtime.GOOS, Arch: runtime.GOARCH}
+	if raw, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(raw), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
 }
 
 // scenarioReport is one scenario's measured numbers.
@@ -220,7 +247,7 @@ func runSweepBench(minSpeedup float64) error {
 
 // runFull benchmarks every scenario and assembles the report.
 func runFull() (report, error) {
-	rep := report{Schema: "rbcast-bench/1", Go: runtime.Version()}
+	rep := report{Schema: "rbcast-bench/1", Go: runtime.Version(), Host: thisHost()}
 	for _, sc := range scenarios.Matrix() {
 		sc := sc
 		// One untimed run for the scenario's semantic columns.

@@ -49,11 +49,12 @@ import (
 )
 
 // slowScenario needs well over the smoke daemon's 250ms job deadline
-// (~1.8s at tip on the dev container), so the deadline reliably cuts it
-// short and it holds the execution slot long enough to provoke sheds.
+// (~1.4s on a 2-core Xeon with the dense designated evidence core), so the
+// deadline reliably cuts it short and it holds the execution slot long
+// enough to provoke sheds.
 func slowScenario() rbcast.Job {
 	return rbcast.Job{Config: rbcast.Config{
-		Width: 140, Height: 140, Radius: 1, Protocol: rbcast.ProtocolBV4, Value: 1,
+		Width: 340, Height: 340, Radius: 1, Protocol: rbcast.ProtocolBV4, Value: 1,
 	}}
 }
 

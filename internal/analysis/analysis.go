@@ -158,17 +158,6 @@ func BV4Closure(net *topology.Network, ft *evidence.FamilyTable, source topology
 	if ft == nil {
 		return Prediction{}, fmt.Errorf("analysis: family table is required")
 	}
-	return bv4ClosureWith(net, ft.HonestPathCount, source, byzantine, t)
-}
-
-// pathCounter abstracts FamilyTable.HonestPathCount so the closure can run
-// either against the table directly or through a pattern memo
-// (BV4ClosureMemo); both must return identical counts for identical inputs.
-type pathCounter func(net *topology.Network, receiver, origin topology.NodeID, honest func(topology.NodeID) bool) int
-
-// bv4ClosureWith is the shared §VI fixed-point core behind BV4Closure and
-// BV4ClosureMemo.
-func bv4ClosureWith(net *topology.Network, hpc pathCounter, source topology.NodeID, byzantine []topology.NodeID, t int) (Prediction, error) {
 	if err := validate(net, source); err != nil {
 		return Prediction{}, err
 	}
@@ -202,7 +191,7 @@ func bv4ClosureWith(net *topology.Network, hpc pathCounter, source topology.Node
 			if isF[u] || pred.Committed[u] {
 				continue
 			}
-			if bv4CanCommit(net, hpc, u, isF, pred.Committed, t) {
+			if bv4CanCommit(net, ft, u, isF, pred.Committed, t) {
 				commit(u)
 				changed = true
 			}
@@ -217,7 +206,7 @@ func bv4ClosureWith(net *topology.Network, hpc pathCounter, source topology.Node
 
 // bv4CanCommit applies the §VI commit rule for one node against the
 // guaranteed-committed set.
-func bv4CanCommit(net *topology.Network, hpc pathCounter, u topology.NodeID, isF, committed []bool, t int) bool {
+func bv4CanCommit(net *topology.Network, ft *evidence.FamilyTable, u topology.NodeID, isF, committed []bool, t int) bool {
 	// Count reliably-determined committers per closed-neighborhood center.
 	counters := make(map[topology.NodeID]int)
 	uc := net.CoordOf(u)
@@ -232,7 +221,7 @@ func bv4CanCommit(net *topology.Network, hpc pathCounter, u topology.NodeID, isF
 			if origin == u || isF[origin] || !committed[origin] {
 				continue
 			}
-			if !determinedStatic(net, hpc, u, origin, isF, t) {
+			if !determinedStatic(net, ft, u, origin, isF, t) {
 				continue
 			}
 			for _, center := range net.ClosedNbdIDs(net.CoordOf(origin)) {
@@ -249,11 +238,11 @@ func bv4CanCommit(net *topology.Network, hpc pathCounter, u topology.NodeID, isF
 // determinedStatic reports whether u is guaranteed to reliably determine
 // origin's value: direct radio contact, or ≥ t+1 designated paths whose
 // relays are all honest (honest relays always forward designated prefixes).
-func determinedStatic(net *topology.Network, hpc pathCounter, u, origin topology.NodeID, isF []bool, t int) bool {
+func determinedStatic(net *topology.Network, ft *evidence.FamilyTable, u, origin topology.NodeID, isF []bool, t int) bool {
 	if net.AreNeighbors(u, origin) {
 		return true
 	}
-	honestPaths := hpc(net, u, origin, func(id topology.NodeID) bool {
+	honestPaths := ft.HonestPathCount(net, u, origin, func(id topology.NodeID) bool {
 		return !isF[id]
 	})
 	return honestPaths >= t+1

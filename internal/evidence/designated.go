@@ -20,26 +20,51 @@ import (
 // all four directions). Receivers count confirmed designated paths; relayers
 // forward only chains that are prefixes of some designated path.
 //
-// Relay sequences are matched via packed uint64 keys: each relay offset is a
-// pair of int8s packed into 16 bits, up to paths.MaxIntermediates (3) relays
-// per key, with the sequence length in the top word — so both the relayer's
-// prefix probe and the receiver's confirmation count are allocation-free.
+// Both lookups are offset-indexed arrays, never hashed: families sit in a
+// dense window over the 2r ball of origin offsets, and the relay prefixes
+// form a trie whose edges are single hops (one of the (2r+1)² steps). A trie
+// node doubles as a dense prefix number, which the per-node evidence state
+// (Node) uses as a dedup bit index.
 type FamilyTable struct {
-	r int
-	// fams maps the origin offset (relative to the receiver) to the family:
-	// each path is a list of relay offsets relative to the receiver, stored
-	// both explicitly and as a packed key for confirmation matching.
-	fams map[grid.Coord]famEntry
-	// prefixes holds packed relay-sequence prefixes in origin-relative
-	// offsets.
-	prefixes map[uint64]struct{}
+	// origins spans every covered origin offset; fams is indexed by it.
+	origins window
+	// fams holds each origin offset's family; uncovered offsets have no
+	// paths.
+	fams []famEntry
+	// covered counts the offsets with a family, maxPaths the largest one.
+	covered, maxPaths int
+	// hops spans one relay step; trie holds, for trie node k, its children
+	// at trie[k*hops.size()+hops.index(step)] (0 = none). Node 0 is the
+	// root, the empty prefix.
+	hops window
+	trie []int32
 }
 
 // famEntry is one origin offset's designated family.
 type famEntry struct {
+	slot  int            // dense index among the covered offsets
 	paths [][]grid.Coord // relay offsets relative to the receiver
 	keys  []uint64       // packOffsets of each path, same order
 }
+
+// window indexes the offsets of the square [-h, h]² densely, row-major.
+type window struct{ h, side int }
+
+func newWindow(h int) window { return window{h: h, side: 2*h + 1} }
+
+func (w window) size() int { return w.side * w.side }
+
+// index returns d's position, or false when d lies outside the square.
+func (w window) index(d grid.Coord) (int, bool) {
+	x, y := d.X+w.h, d.Y+w.h
+	if uint(x) >= uint(w.side) || uint(y) >= uint(w.side) {
+		return 0, false
+	}
+	return y*w.side + x, true
+}
+
+// offset inverts index.
+func (w window) offset(i int) grid.Coord { return grid.C(i%w.side-w.h, i/w.side-w.h) }
 
 // packOffsets encodes a relay-offset sequence (≤ paths.MaxIntermediates
 // entries, each component within int8 range — true for any practical radius)
@@ -74,11 +99,9 @@ func NewFamilyTable(r int) (*FamilyTable, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("evidence: radius must be ≥ 1, got %d", r)
 	}
-	ft := &FamilyTable{
-		r:        r,
-		fams:     make(map[grid.Coord]famEntry),
-		prefixes: make(map[uint64]struct{}),
-	}
+	ft := &FamilyTable{origins: newWindow(2 * r), hops: newWindow(r)}
+	ft.fams = make([]famEntry, ft.origins.size())
+	ft.trie = make([]int32, ft.hops.size())
 	center := grid.C(0, 0)
 	p0 := paths.CornerP(center, r)
 	regionNodes := make([]grid.Coord, 0, r*r)
@@ -102,7 +125,11 @@ func NewFamilyTable(r int) (*FamilyTable, error) {
 		}
 		for _, sym := range symmetries {
 			sd := sym(d)
-			if _, ok := ft.fams[sd]; ok {
+			idx, ok := ft.origins.index(sd)
+			if !ok {
+				return nil, fmt.Errorf("evidence: family offset %v lies beyond 2r", sd)
+			}
+			if ft.fams[idx].paths != nil {
 				continue
 			}
 			sPaths := make([][]grid.Coord, len(relPaths))
@@ -115,125 +142,72 @@ func NewFamilyTable(r int) (*FamilyTable, error) {
 				sPaths[i] = srels
 				sKeys[i] = packOffsets(srels)
 			}
-			ft.fams[sd] = famEntry{paths: sPaths, keys: sKeys}
-			ft.addPrefixes(sd, sPaths)
+			ft.fams[idx] = famEntry{slot: ft.covered, paths: sPaths, keys: sKeys}
+			ft.covered++
+			ft.maxPaths = max(ft.maxPaths, len(sPaths))
+			if err := ft.addPrefixes(sd, sPaths); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return ft, nil
 }
 
-// addPrefixes records all relay-sequence prefixes of the family in
-// origin-relative coordinates (relay − origin), so relayers can check
-// membership without knowing the receiver.
-func (ft *FamilyTable) addPrefixes(originOff grid.Coord, relPaths [][]grid.Coord) {
-	var buf [paths.MaxIntermediates]grid.Coord
+// addPrefixes inserts all relay-sequence prefixes of the family into the
+// trie, in origin-relative coordinates (relay − origin), so relayers can
+// check membership without knowing the receiver.
+func (ft *FamilyTable) addPrefixes(originOff grid.Coord, relPaths [][]grid.Coord) error {
 	for _, rels := range relPaths {
-		for k := 1; k <= len(rels); k++ {
-			// Re-base the prefix to origin-relative offsets.
-			pre := buf[:k]
-			for i, rel := range rels[:k] {
-				pre[i] = rel.Sub(originOff)
+		node, prev := int32(0), grid.C(0, 0)
+		for _, rel := range rels {
+			at := rel.Sub(originOff)
+			step, ok := ft.hops.index(at.Sub(prev))
+			if !ok {
+				return fmt.Errorf("evidence: designated hop %v→%v exceeds the radius", prev, at)
 			}
-			ft.prefixes[packOffsets(pre)] = struct{}{}
+			slot := int(node)*ft.hops.size() + step
+			if ft.trie[slot] == 0 {
+				ft.trie[slot] = int32(len(ft.trie) / ft.hops.size())
+				ft.trie = append(ft.trie, make([]int32, ft.hops.size())...)
+			}
+			node, prev = ft.trie[slot], at
 		}
 	}
+	return nil
 }
 
-// Radius returns the table's transmission radius.
-func (ft *FamilyTable) Radius() int { return ft.r }
-
-// Offsets returns the number of distinct origin offsets covered.
-func (ft *FamilyTable) Offsets() int { return len(ft.fams) }
-
-// FamilySize returns the number of designated paths for an origin offset,
-// or zero when the offset is not covered.
-func (ft *FamilyTable) FamilySize(originOff grid.Coord) int {
-	return len(ft.fams[originOff].paths)
-}
-
-// ShouldRelay reports whether an honest node at relay-offset chain
-// (origin-relative offsets of the already-affixed relays, ending with the
-// would-be relayer itself) is a prefix of any designated path. The chain
-// must already include the candidate relayer as its last element.
-func (ft *FamilyTable) ShouldRelay(relOffsets []grid.Coord) bool {
-	if len(relOffsets) == 0 || len(relOffsets) > paths.MaxIntermediates {
-		return false
-	}
-	_, ok := ft.prefixes[packOffsets(relOffsets)]
-	return ok
-}
-
-// ConfirmedPaths counts how many designated paths for the given origin
-// offset are fully confirmed by recorded chains of the store (same origin,
-// same value, exact relay sequence).
-func (ft *FamilyTable) ConfirmedPaths(net *topology.Network, s *Store, receiver, origin topology.NodeID, value byte) int {
-	d := net.Delta(receiver, origin)
-	fam, ok := ft.fams[d]
+// child returns the trie node reached from node by one relay hop of the
+// given step, or 0 when that extension is no designated prefix.
+func (ft *FamilyTable) child(node int32, step grid.Coord) int32 {
+	i, ok := ft.hops.index(step)
 	if !ok {
 		return 0
 	}
-	chains := s.Chains(origin, value)
-	if len(chains) == 0 {
-		return 0
-	}
-	// Pack each recorded chain's relay sequence once (receiver-relative),
-	// then match designated-path keys by linear scan: both lists are small
-	// (a family has r(2r+1) paths) and nothing escapes to the heap.
-	var buf [32]uint64
-	recorded := buf[:0]
-	for _, c := range chains {
-		recorded = append(recorded, relayKey(net, receiver, c.Relays))
-	}
-	confirmed := 0
-	for _, pk := range fam.keys {
-		for _, rk := range recorded {
-			if rk == pk {
-				confirmed++
-				break
-			}
-		}
-	}
-	return confirmed
+	return ft.trie[int(node)*ft.hops.size()+i]
 }
 
-// ConfirmedChainList returns the recorded chains confirming designated
-// paths for the receiver→origin offset — the explicit witness behind a
-// DeterminedDesignated verdict, in designated-family order. Confirmed
-// designated paths are internally node-disjoint and lie inside one closed
-// neighborhood by construction, so the returned chains are a valid §VI
-// evidence family whenever there are ≥ t+1 of them. Trace-path only; the
-// hot path uses ConfirmedPaths, which never materializes the list.
-func (ft *FamilyTable) ConfirmedChainList(net *topology.Network, s *Store, receiver, origin topology.NodeID, value byte) []Chain {
-	d := net.Delta(receiver, origin)
-	fam, ok := ft.fams[d]
-	if !ok {
+// prefixes returns the number of distinct designated prefixes: the trie's
+// nodes other than the root, numbered 1..prefixes.
+func (ft *FamilyTable) prefixes() int { return len(ft.trie)/ft.hops.size() - 1 }
+
+// family returns the designated family for an origin offset, or nil when
+// the offset is not covered.
+func (ft *FamilyTable) family(originOff grid.Coord) *famEntry {
+	i, ok := ft.origins.index(originOff)
+	if !ok || ft.fams[i].paths == nil {
 		return nil
 	}
-	chains := s.Chains(origin, value)
-	if len(chains) == 0 {
-		return nil
-	}
-	var out []Chain
-	for _, pk := range fam.keys {
-		for _, c := range chains {
-			if relayKey(net, receiver, c.Relays) == pk {
-				out = append(out, c)
-				break
-			}
-		}
-	}
-	return out
+	return &ft.fams[i]
 }
 
 // HonestPathCount counts the designated paths for the receiver→origin
 // offset whose relays all satisfy the honesty predicate. Honest relays
 // always forward designated prefixes, so this is the number of paths
 // guaranteed to be confirmed once the origin announces — the static
-// counterpart of ConfirmedPaths, used by the outcome analyzer.
+// counterpart of Node.Confirmed, used by the outcome analyzer.
 func (ft *FamilyTable) HonestPathCount(net *topology.Network, receiver, origin topology.NodeID, honest func(topology.NodeID) bool) int {
-	d := net.Delta(receiver, origin)
-	fam, ok := ft.fams[d]
-	if !ok {
+	fam := ft.family(net.Delta(receiver, origin))
+	if fam == nil {
 		return 0
 	}
 	recvC := net.CoordOf(receiver)
@@ -251,30 +225,4 @@ func (ft *FamilyTable) HonestPathCount(net *topology.Network, receiver, origin t
 		}
 	}
 	return count
-}
-
-// relayKey packs a chain's relay ids as receiver-relative offsets.
-func relayKey(net *topology.Network, receiver topology.NodeID, relays []topology.NodeID) uint64 {
-	key := uint64(len(relays)) << 48
-	if len(relays) > paths.MaxIntermediates {
-		return key
-	}
-	for i, rel := range relays {
-		d := net.Delta(receiver, rel)
-		key |= (uint64(uint8(int8(d.X))) | uint64(uint8(int8(d.Y)))<<8) << (16 * uint(i))
-	}
-	return key
-}
-
-// DeterminedDesignated is the designated-mode counterpart of
-// DeterminedExact: the receiver has reliably determined (origin, value) iff
-// it heard the COMMITTED directly or at least `need` designated paths are
-// confirmed. Designated paths are internally disjoint and lie inside one
-// closed neighborhood by construction, so this is a sound instance of the
-// paper's rule.
-func DeterminedDesignated(net *topology.Network, ft *FamilyTable, s *Store, receiver, origin topology.NodeID, value byte, need int) bool {
-	if s.HasDirect(origin, value) {
-		return true
-	}
-	return ft.ConfirmedPaths(net, s, receiver, origin, value) >= need
 }

@@ -1,6 +1,7 @@
 package evidence
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/grid"
@@ -229,12 +230,24 @@ func TestFamilyTableCoverage(t *testing.T) {
 		}
 		// The corner construction covers r² offsets (U + S1 + S2); the 8
 		// symmetries multiply coverage (with overlaps).
-		if ft.Offsets() < r*r {
-			t.Errorf("r=%d: only %d offsets covered", r, ft.Offsets())
+		if ft.covered < r*r {
+			t.Errorf("r=%d: only %d offsets covered", r, ft.covered)
 		}
-		// Every covered offset has the full family of r(2r+1) paths.
+		if ft.covered != 4*r*r {
+			t.Errorf("r=%d: %d offsets covered, want 4r² = %d", r, ft.covered, 4*r*r)
+		}
+		// Every covered offset has the full family of r(2r+1) paths, whose
+		// relays all lie within 2r of the receiver (the dense windows rely
+		// on it).
 		want := r * (2*r + 1)
-		for off, fam := range ft.fams {
+		for off, fam := range families(ft) {
+			for _, rels := range fam.paths {
+				for _, x := range rels {
+					if _, ok := ft.origins.index(x); !ok {
+						t.Errorf("r=%d offset %v: relay %v beyond 2r", r, off, x)
+					}
+				}
+			}
 			if len(fam.paths) != want {
 				t.Errorf("r=%d offset %v: %d paths, want %d", r, off, len(fam.paths), want)
 			}
@@ -253,10 +266,23 @@ func TestFamilyTableSymmetricOffsets(t *testing.T) {
 	// The S1 offset for p=0 is (0, -(r+1)) = (0,-3); all four axis-aligned
 	// rotations must be covered.
 	for _, off := range []grid.Coord{grid.C(0, -3), grid.C(0, 3), grid.C(-3, 0), grid.C(3, 0)} {
-		if ft.FamilySize(off) == 0 {
+		if ft.family(off) == nil {
 			t.Errorf("offset %v not covered", off)
 		}
 	}
+}
+
+// designatedPrefix reports whether origin-relative relay offsets walk the
+// table's prefix trie to a node: an honest relayer's earmarking test.
+func designatedPrefix(ft *FamilyTable, offs []grid.Coord) bool {
+	node, prev := int32(0), grid.C(0, 0)
+	for _, at := range offs {
+		if node = ft.child(node, at.Sub(prev)); node == 0 {
+			return false
+		}
+		prev = at
+	}
+	return len(offs) > 0
 }
 
 func TestShouldRelayPrefixes(t *testing.T) {
@@ -268,7 +294,7 @@ func TestShouldRelayPrefixes(t *testing.T) {
 	// Take a designated path and check all its prefixes are relayable.
 	var off grid.Coord
 	var somePath []grid.Coord
-	for o, fam := range ft.fams {
+	for o, fam := range families(ft) {
 		for _, path := range fam.paths {
 			if len(path) == 3 {
 				off, somePath = o, path
@@ -287,15 +313,15 @@ func TestShouldRelayPrefixes(t *testing.T) {
 		for i := 0; i < k; i++ {
 			rels[i] = somePath[i].Sub(off) // origin-relative
 		}
-		if !ft.ShouldRelay(rels) {
+		if !designatedPrefix(ft, rels) {
 			t.Errorf("prefix of length %d of designated path must be relayable", k)
 		}
 	}
 	// A garbage offset sequence is not relayable.
-	if ft.ShouldRelay([]grid.Coord{grid.C(9, 9)}) {
+	if designatedPrefix(ft, []grid.Coord{grid.C(9, 9)}) {
 		t.Error("non-designated prefix relayed")
 	}
-	if ft.ShouldRelay(nil) {
+	if designatedPrefix(ft, nil) {
 		t.Error("empty prefix must be rejected")
 	}
 }
@@ -311,38 +337,59 @@ func TestConfirmedPathsAndDeterminedDesignated(t *testing.T) {
 	// S1-type offset (0, -(r+1)) = origin two rows below the receiver.
 	origin := net.IDOf(grid.C(4, 2))
 	d := net.Delta(recv, origin)
-	relPaths := ft.fams[d].paths
+	relPaths := ft.family(d).paths
 	if len(relPaths) != r*(2*r+1) {
 		t.Fatalf("offset %v: %d designated paths", d, len(relPaths))
 	}
-	s := NewStore()
-	if got := ft.ConfirmedPaths(net, s, recv, origin, 1); got != 0 {
-		t.Fatalf("no chains: confirmed = %d", got)
+	arena := NewArena(net, ft)
+	n := arena.Node(recv)
+	need := 2 // t+1 with t = MaxByzantineLinf(1) = 1
+	determined := func(n *Node, v byte) bool {
+		return n.HasDirect(origin, v) || len(n.ConfirmedChains(origin, v)) >= need
 	}
-	// Confirm designated paths one by one.
+	if got := n.ConfirmedChains(origin, 1); got != nil {
+		t.Fatalf("no chains: confirmed %v", got)
+	}
+	// Confirm designated paths one by one, each once more as a repeat.
 	recvC := net.CoordOf(recv)
+	var want [][]topology.NodeID
 	for i, rels := range relPaths {
 		ids := make([]topology.NodeID, len(rels))
 		for j, off := range rels {
 			ids[j] = net.IDOf(recvC.Add(off))
 		}
-		s.Add(Chain{Origin: origin, Value: 1, Relays: ids})
-		if got := ft.ConfirmedPaths(net, s, recv, origin, 1); got != i+1 {
+		want = append(want, ids)
+		n.Confirm(origin, 1, ids)
+		if got := n.Confirm(origin, 1, ids); got != i+1 {
 			t.Fatalf("after %d chains: confirmed = %d", i+1, got)
 		}
 	}
-	need := 2 // t+1 with t = MaxByzantineLinf(1) = 1
-	if !DeterminedDesignated(net, ft, s, recv, origin, 1, need) {
+	if !determined(n, 1) {
 		t.Error("fully confirmed family must determine")
 	}
-	if DeterminedDesignated(net, ft, s, recv, origin, 0, need) {
+	if determined(n, 0) {
 		t.Error("wrong value must not be determined")
 	}
+	if got := n.ConfirmedChains(origin, 1); !reflect.DeepEqual(got, want) {
+		t.Errorf("witness = %v, want the family in order %v", got, want)
+	}
+	// A non-designated chain and a reversed designated one confirm nothing.
+	other := arena.Node(net.IDOf(grid.C(0, 0)))
+	other.Confirm(origin, 1, []topology.NodeID{net.IDOf(grid.C(8, 8))})
+	n2 := NewArena(net, ft).Node(recv)
+	rev := append([]topology.NodeID(nil), want[len(want)-1]...)
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	if len(rev) > 1 && n2.Confirm(origin, 1, rev) != 0 {
+		t.Error("relay order matters: a reversed path must not confirm")
+	}
 	// Direct hearing shortcut.
-	s2 := NewStore()
-	s2.AddDirect(origin, 1)
-	if !DeterminedDesignated(net, ft, s2, recv, origin, 1, need) {
+	if !n2.FirstCommit(origin, 1) || !determined(n2, 1) {
 		t.Error("direct hearing determines")
+	}
+	if arena.Node(recv) != nil {
+		t.Error("a node's state must be handed out once")
 	}
 }
 
@@ -357,7 +404,7 @@ func TestFamilyTablePathsAreValidOnTorus(t *testing.T) {
 	net := testNet(t, 15, 15, r)
 	recv := net.IDOf(grid.C(7, 7))
 	recvC := net.CoordOf(recv)
-	for off, fam := range ft.fams {
+	for off, fam := range families(ft) {
 		originC := recvC.Add(off)
 		seen := make(map[topology.NodeID]bool)
 		for _, rels := range fam.paths {
@@ -380,5 +427,56 @@ func TestFamilyTablePathsAreValidOnTorus(t *testing.T) {
 				seen[id] = true
 			}
 		}
+	}
+}
+
+// families lists the table's covered offsets with their families.
+func families(ft *FamilyTable) map[grid.Coord]*famEntry {
+	out := make(map[grid.Coord]*famEntry)
+	for i := range ft.fams {
+		if ft.fams[i].paths != nil {
+			out[ft.origins.offset(i)] = &ft.fams[i]
+		}
+	}
+	return out
+}
+
+// maxDisjointChains returns the size of a maximum pairwise relay-disjoint
+// subset of chains (chains share their origin, so only relays conflict),
+// stopping early once `target` is reached.
+func maxDisjointChains(chains []Chain, target int) int {
+	masks, words := chainMasks(chains, false)
+	return maxDisjointMasks(masks, words, target)
+}
+
+// TestConfirmMultiWordMasks confirms a whole family at a radius whose
+// r(2r+1) designated paths need two mask words.
+func TestConfirmMultiWordMasks(t *testing.T) {
+	r := 6
+	ft, err := NewFamilyTable(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := testNet(t, 40, 40, r)
+	recv := net.IDOf(grid.C(20, 20))
+	origin := net.IDOf(grid.C(20, 20-(r+1))) // the S1-type offset (0, -(r+1))
+	fam := ft.family(net.Delta(recv, origin))
+	if fam == nil || len(fam.paths) <= 64 {
+		t.Fatalf("want a family of more than 64 paths, got %v", fam != nil)
+	}
+	n := NewArena(net, ft).Node(recv)
+	var want [][]topology.NodeID
+	for i := len(fam.paths) - 1; i >= 0; i-- { // reverse order: the witness is family-ordered
+		ids := make([]topology.NodeID, len(fam.paths[i]))
+		for j, off := range fam.paths[i] {
+			ids[j] = net.IDOf(net.Torus().Wrap(net.CoordOf(recv).Add(off)))
+		}
+		want = append([][]topology.NodeID{ids}, want...)
+		if got := n.Confirm(origin, 0, ids); got != len(want) {
+			t.Fatalf("after %d paths: confirmed %d", len(want), got)
+		}
+	}
+	if got := n.ConfirmedChains(origin, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("witness differs from the family order")
 	}
 }

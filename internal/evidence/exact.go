@@ -129,42 +129,6 @@ func candidateCenters(net *topology.Network, recvC grid.Coord, origin topology.N
 	return out
 }
 
-// maxDisjointChains returns the size of a maximum pairwise relay-disjoint
-// subset of chains (chains share their origin, so only relays conflict),
-// stopping early once `target` is reached.
-func maxDisjointChains(chains []Chain, target int) int {
-	masks, words := chainMasks(chains, false)
-	return maxDisjointMasks(masks, words, target)
-}
-
-// maxDisjointSets computes the exact maximum pairwise-disjoint subfamily of
-// the given node sets, stopping early once `target` is reached. It is the
-// map-set entry point to the word-packed packer in bitset.go, retained for
-// callers (and property tests) that hold sets rather than chains.
-func maxDisjointSets(sets []map[topology.NodeID]struct{}, target int) int {
-	index := make(map[topology.NodeID]int, 4*len(sets))
-	for _, set := range sets {
-		for id := range set {
-			if _, ok := index[id]; !ok {
-				index[id] = len(index)
-			}
-		}
-	}
-	words := (len(index) + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-	ms := newMaskSet(len(sets), words)
-	masks := make([][]uint64, len(sets))
-	for i, set := range sets {
-		for id := range set {
-			ms.set(i, index[id])
-		}
-		masks[i] = ms.mask(i)
-	}
-	return maxDisjointMasks(masks, words, target)
-}
-
 // CommitSingleLevel implements the §VI-B (two-hop protocol) commit rule:
 // the receiver commits to `value` iff there exist at least need = t+1
 // recorded chains for that value — across any origins — that are pairwise
@@ -314,21 +278,4 @@ func CommitWitness(net *topology.Network, s *Store, receiver topology.NodeID, va
 		}
 	}
 	return grid.Coord{}, nil, false
-}
-
-// maxDisjointWholeChains computes the exact maximum set of pairwise
-// node-disjoint chains where disjointness covers origins AND relays (the
-// §VI-B "collectively node-disjoint" requirement). Chains are atomic: a
-// node's origin role in one chain conflicts with its relay role in another.
-func maxDisjointWholeChains(chains []Chain, target int) int {
-	sets := make([]map[topology.NodeID]struct{}, 0, len(chains))
-	for _, c := range chains {
-		set := make(map[topology.NodeID]struct{}, len(c.Relays)+1)
-		set[c.Origin] = struct{}{}
-		for _, rel := range c.Relays {
-			set[rel] = struct{}{}
-		}
-		sets = append(sets, set)
-	}
-	return maxDisjointSets(sets, target)
 }

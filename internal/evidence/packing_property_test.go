@@ -131,3 +131,30 @@ func minInt(a, b int) int {
 	}
 	return b
 }
+
+// maxDisjointSets computes the exact maximum pairwise-disjoint subfamily of
+// the given node sets, stopping early once `target` is reached: the map-set
+// entry point to the word-packed packer in bitset.go.
+func maxDisjointSets(sets []map[topology.NodeID]struct{}, target int) int {
+	index := make(map[topology.NodeID]int, 4*len(sets))
+	for _, set := range sets {
+		for id := range set {
+			if _, ok := index[id]; !ok {
+				index[id] = len(index)
+			}
+		}
+	}
+	words := (len(index) + 63) / 64
+	if words == 0 {
+		words = 1
+	}
+	ms := newMaskSet(len(sets), words)
+	masks := make([][]uint64, len(sets))
+	for i, set := range sets {
+		for id := range set {
+			ms.set(i, index[id])
+		}
+		masks[i] = ms.mask(i)
+	}
+	return maxDisjointMasks(masks, words, target)
+}

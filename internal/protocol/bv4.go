@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/etrace"
@@ -42,32 +41,23 @@ type bv4Proc struct {
 	t      int
 	net    *topology.Network
 	mode   EvidenceMode
-	ft     *evidence.FamilyTable // nil in Exact mode
-	spoof  bool                  // §X study: medium does not authenticate senders
-	mc     *metrics.Collector    // evidence-evaluation tap (nil = off)
-	tr     *etrace.Recorder      // event/certificate tap (nil = off)
+	spoof  bool               // §X study: medium does not authenticate senders
+	mc     *metrics.Collector // evidence-evaluation tap (nil = off)
+	tr     *etrace.Recorder   // event/certificate tap (nil = off)
 
 	value     byte
 	decided   bool
 	announced bool
 
+	// ev is this node's share of the run's evidence arena: dedup,
+	// determination, commit counters and designated confirmations.
+	ev *evidence.Node
+	// store keeps every recorded chain for Exact mode's set packing; nil
+	// in Designated mode, where ev's confirmed-path bits suffice.
 	store *evidence.Store
-	// firstCommit dedupes COMMITTED by sender.
-	firstCommit map[topology.NodeID]struct{}
-	// firstHeard dedupes HEARD by (sender, origin, relay path) — the value
-	// is deliberately excluded so contradictory retransmissions of the
-	// same logical message are ignored after the first (§V).
-	firstHeard map[heardKey]struct{}
-	// determined tracks reliably-determined (origin, value) pairs.
-	determined map[detKey]struct{}
-	// counters[v][center] counts determined committers of value v in the
-	// closed neighborhood centered at center.
-	counters [2]map[topology.NodeID]int
-}
-
-type detKey struct {
-	origin topology.NodeID
-	value  byte
+	// selfPath backs the relay list of every first-hop HEARD this node
+	// sends; messages are immutable once broadcast, so they share it.
+	selfPath [1]topology.NodeID
 }
 
 // newBV4Factory builds indirect-report protocol processes.
@@ -94,27 +84,40 @@ func newBV4Factory(p Params) (sim.ProcessFactory, error) {
 			return nil, err
 		}
 	}
+	// One arena and one process slab serve every node of an engine; a
+	// factory reused for another engine starts a fresh pair.
+	var (
+		mu    sync.Mutex
+		arena *evidence.Arena
+		procs []bv4Proc
+	)
 	return func(id topology.NodeID) sim.Process {
-		return &bv4Proc{
-			self:        id,
-			source:      p.Source,
-			t:           p.T,
-			net:         net,
-			mode:        mode,
-			ft:          ft,
-			spoof:       p.SpoofingPossible,
-			mc:          p.Metrics,
-			tr:          p.Trace,
-			value:       p.Value,
-			store:       evidence.NewStore(),
-			firstCommit: make(map[topology.NodeID]struct{}),
-			firstHeard:  make(map[heardKey]struct{}),
-			determined:  make(map[detKey]struct{}),
-			counters: [2]map[topology.NodeID]int{
-				make(map[topology.NodeID]int),
-				make(map[topology.NodeID]int),
-			},
+		mu.Lock()
+		defer mu.Unlock()
+		ev := arena.Node(id)
+		if ev == nil {
+			arena = evidence.NewArena(net, ft)
+			procs = make([]bv4Proc, net.Size())
+			ev = arena.Node(id)
 		}
+		b := &procs[id]
+		*b = bv4Proc{
+			self:     id,
+			source:   p.Source,
+			t:        p.T,
+			net:      net,
+			mode:     mode,
+			spoof:    p.SpoofingPossible,
+			mc:       p.Metrics,
+			tr:       p.Trace,
+			value:    p.Value,
+			ev:       ev,
+			selfPath: [1]topology.NodeID{id},
+		}
+		if mode == Exact {
+			b.store = evidence.NewStore()
+		}
+		return b
 	}, nil
 }
 
@@ -163,19 +166,17 @@ func (b *bv4Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 
 // acceptCommitted handles a first-hand commitment announcement.
 func (b *bv4Proc) acceptCommitted(ctx sim.Context, committer topology.NodeID, v byte) {
-	if _, dup := b.firstCommit[committer]; dup {
+	if !b.ev.FirstCommit(committer, v) {
 		return
 	}
-	b.firstCommit[committer] = struct{}{}
-	b.store.AddDirect(committer, v)
 	b.onDetermined(ctx, committer, v)
 	// Report it: HEARD(self, committer, v), subject to earmarking.
-	if b.shouldRelay(committer, []topology.NodeID{b.self}) {
+	if b.mode == Exact || b.ev.Earmarked(committer) {
 		ctx.Broadcast(sim.Message{
 			Kind:   sim.KindHeard,
 			Origin: committer,
 			Value:  v,
-			Path:   []topology.NodeID{b.self},
+			Path:   b.selfPath[:],
 		})
 	}
 }
@@ -203,35 +204,36 @@ func (b *bv4Proc) acceptHeard(ctx sim.Context, from topology.NodeID, m sim.Messa
 			}
 		}
 	}
-	key := newHeardKey(m.Origin, m.Path)
-	if _, dup := b.firstHeard[key]; dup {
+	fresh, earmarked := b.ev.FirstHeard(m.Origin, m.Path)
+	if !fresh {
 		return
 	}
-	b.firstHeard[key] = struct{}{}
-	relays := make([]topology.NodeID, n)
-	copy(relays, m.Path)
-	b.store.Add(evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: relays})
+	confirmed := 0
+	if b.mode == Exact {
+		relays := make([]topology.NodeID, n)
+		copy(relays, m.Path)
+		b.store.Add(evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: relays})
+	} else {
+		confirmed = b.ev.Confirm(m.Origin, m.Value, m.Path)
+	}
 
 	// Evaluate reliable determination for this (origin, value).
-	if b.isDetermined(ctx.Round(), m.Origin, m.Value) {
+	if b.isDetermined(ctx.Round(), m.Origin, m.Value, confirmed) {
 		b.onDetermined(ctx, m.Origin, m.Value)
 	}
 
 	// Re-relay with our identifier affixed, if the extended chain is still
 	// designated (or always, in exact mode) and under the relay cap.
-	if n < sim.MaxHeardRelays {
-		var extBuf [sim.MaxHeardRelays]topology.NodeID
-		ext := append(append(extBuf[:0], m.Path...), b.self)
-		if b.shouldRelay(m.Origin, ext) {
-			fwd := m.ExtendPath(b.self)
-			ctx.Broadcast(fwd)
-		}
+	if n < sim.MaxHeardRelays && (b.mode == Exact || earmarked) {
+		ctx.Broadcast(m.ExtendPath(b.self))
 	}
 }
 
-// isDetermined applies the mode's reliable-determination rule.
-func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte) bool {
-	if _, done := b.determined[detKey{origin: origin, value: v}]; done {
+// isDetermined applies the mode's reliable-determination rule; confirmed
+// is the designated-path count. A direct reception determines on arrival,
+// so only relayed evidence is evaluated.
+func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte, confirmed int) bool {
+	if b.ev.Determined(origin, v) {
 		return false // already counted; avoid re-evaluation
 	}
 	b.mc.AddEvidenceEvals(round, 1)
@@ -240,7 +242,10 @@ func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte) bool {
 	}
 	need := b.t + 1
 	if b.mode == Designated {
-		return evidence.DeterminedDesignated(b.net, b.ft, b.store, b.self, origin, v, need)
+		// Designated paths are internally disjoint and lie inside one
+		// closed neighborhood by construction, so counting confirmed
+		// ones is a sound instance of the paper's rule.
+		return confirmed >= need
 	}
 	return evidence.DeterminedExact(b.net, b.store, b.self, origin, v, need)
 }
@@ -248,35 +253,9 @@ func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte) bool {
 // onDetermined counts a newly reliably-determined committer and applies the
 // commit rule: t+1 determined committers of v inside one closed nbd.
 func (b *bv4Proc) onDetermined(ctx sim.Context, origin topology.NodeID, v byte) {
-	k := detKey{origin: origin, value: v}
-	if _, done := b.determined[k]; done {
-		return
-	}
-	b.determined[k] = struct{}{}
-	commit := false
-	for _, center := range b.net.ClosedNbdIDs(b.net.CoordOf(origin)) {
-		b.counters[v][center]++
-		if b.counters[v][center] >= b.t+1 {
-			commit = true
-		}
-	}
-	if commit && !b.decided {
+	if b.ev.Determine(origin, v, b.t+1) && !b.decided {
 		b.commit(ctx, v, b.quorumCert(v))
 	}
-}
-
-// shouldRelay applies the earmarking filter: in exact mode everything under
-// the cap is relayed; in designated mode only prefixes of designated paths.
-func (b *bv4Proc) shouldRelay(origin topology.NodeID, relays []topology.NodeID) bool {
-	if b.mode == Exact {
-		return true
-	}
-	var buf [sim.MaxHeardRelays]grid.Coord
-	offs := buf[:len(relays)]
-	for i, rel := range relays {
-		offs[i] = b.net.Delta(origin, rel)
-	}
-	return b.ft.ShouldRelay(offs)
 }
 
 // commit records the decision and announces it once. cert is nil on
@@ -311,22 +290,10 @@ func (b *bv4Proc) quorumCert(v byte) *etrace.Certificate {
 		return nil
 	}
 	need := b.t + 1
-	center := topology.None
-	for c, n := range b.counters[v] {
-		if n >= need && (center == topology.None || c < center) {
-			center = c // smallest qualifying center, deterministically
-		}
-	}
+	center, origins := b.ev.Quorum(v, need)
 	if center == topology.None {
 		return nil // defensive: the caller observed the quorum fire
 	}
-	var origins []topology.NodeID
-	for k := range b.determined {
-		if k.value == v && b.net.WithinClosed(center, k.origin) {
-			origins = append(origins, k.origin)
-		}
-	}
-	sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
 	cert := &etrace.Certificate{
 		Rule: etrace.RuleQuorum, Value: v,
 		Center: center, HasCenter: true,
@@ -334,12 +301,10 @@ func (b *bv4Proc) quorumCert(v byte) *etrace.Certificate {
 	}
 	for _, origin := range origins {
 		item := etrace.Evidence{Origin: origin}
-		if b.store.HasDirect(origin, v) {
+		if b.ev.HasDirect(origin, v) {
 			item.Direct = true
 		} else {
-			for _, c := range b.determinedChains(origin, v, need) {
-				item.Chains = append(item.Chains, append([]topology.NodeID(nil), c.Relays...))
-			}
+			item.Chains = b.determinedChains(origin, v, need)
 		}
 		cert.Evidence = append(cert.Evidence, item)
 	}
@@ -349,12 +314,16 @@ func (b *bv4Proc) quorumCert(v byte) *etrace.Certificate {
 // determinedChains returns the explicit chain witness that reliably
 // determined (origin, v) under the process's evidence mode. Evidence only
 // accumulates, so the witness exists whenever determination fired.
-func (b *bv4Proc) determinedChains(origin topology.NodeID, v byte, need int) []evidence.Chain {
+func (b *bv4Proc) determinedChains(origin topology.NodeID, v byte, need int) [][]topology.NodeID {
 	if b.mode == Designated {
-		return b.ft.ConfirmedChainList(b.net, b.store, b.self, origin, v)
+		return b.ev.ConfirmedChains(origin, v)
 	}
 	chains, _, _ := evidence.DeterminedExactWitness(b.net, b.store, b.self, origin, v, need)
-	return chains
+	var out [][]topology.NodeID
+	for _, c := range chains {
+		out = append(out, append([]topology.NodeID(nil), c.Relays...))
+	}
+	return out
 }
 
 // Decided implements sim.Process.
@@ -363,19 +332,6 @@ func (b *bv4Proc) Decided() (byte, bool) {
 		return 0, false
 	}
 	return b.value, true
-}
-
-// heardKey canonically identifies a logical HEARD message (value excluded,
-// so only the first of contradictory versions is accepted). The path is at
-// most sim.MaxHeardRelays long, so origin plus path fit in a comparable
-// array; unused slots hold topology.None, which no real relay can be.
-type heardKey [1 + sim.MaxHeardRelays]topology.NodeID
-
-// newHeardKey packs (origin, path) into a heardKey.
-func newHeardKey(origin topology.NodeID, path []topology.NodeID) heardKey {
-	k := heardKey{origin, topology.None, topology.None, topology.None}
-	copy(k[1:], path)
-	return k
 }
 
 var _ sim.Process = (*bv4Proc)(nil)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -18,22 +19,25 @@ func (c *captureCtx) Self() topology.NodeID   { return c.self }
 func (c *captureCtx) Round() int              { return 1 }
 func (c *captureCtx) Broadcast(m sim.Message) { c.out = append(c.out, m) }
 
-// newBV4 builds a single bv4 process for white-box testing.
+// newBV4 builds a single bv4 process for white-box testing, with an
+// evidence-evaluation tap: every recorded HEARD about a still-undetermined
+// origin is evaluated exactly once.
 func newBV4(t *testing.T, net *topology.Network, self, source topology.NodeID, tVal int, mode EvidenceMode) *bv4Proc {
 	t.Helper()
-	factory, err := newBV4Factory(Params{Net: net, Source: source, Value: 1, T: tVal, Mode: mode})
+	factory, err := newBV4Factory(Params{Net: net, Source: source, Value: 1, T: tVal, Mode: mode, Metrics: metrics.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return factory(self).(*bv4Proc)
 }
 
+// evals is the number of HEARDs the process recorded and evaluated.
+func (b *bv4Proc) evals() int64 { return b.mc.Snapshot().EvidenceEvals }
+
 func TestBV4RejectsMalformedHeard(t *testing.T) {
 	net := testNet(t, 9, 9, 1)
 	self := net.IDOf(grid.C(4, 4))
 	src := net.IDOf(grid.C(0, 0))
-	p := newBV4(t, net, self, src, 1, Exact)
-	ctx := &captureCtx{self: self}
 	origin := net.IDOf(grid.C(6, 4))
 	relay := net.IDOf(grid.C(5, 4))
 
@@ -58,13 +62,23 @@ func TestBV4RejectsMalformedHeard(t *testing.T) {
 		{"non-binary value", sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 7,
 			Path: []topology.NodeID{relay}}, relay},
 	}
-	for _, tc := range cases {
-		p.Deliver(ctx, tc.from, tc.m)
-		if got := len(p.store.Chains(origin, 1)) + len(p.store.Chains(self, 1)); got != 0 {
-			t.Errorf("%s: malformed HEARD was recorded", tc.name)
-		}
-		if len(ctx.out) != 0 {
-			t.Errorf("%s: malformed HEARD was relayed: %v", tc.name, ctx.out)
+	valid := sim.Message{Kind: sim.KindHeard, Origin: origin, Value: 1, Path: []topology.NodeID{relay}}
+	for _, mode := range []EvidenceMode{Exact, Designated} {
+		for _, tc := range cases {
+			p := newBV4(t, net, self, src, 1, mode)
+			ctx := &captureCtx{self: self}
+			p.Deliver(ctx, tc.from, tc.m)
+			if p.evals() != 0 {
+				t.Errorf("mode %d, %s: malformed HEARD was recorded", mode, tc.name)
+			}
+			if len(ctx.out) != 0 {
+				t.Errorf("mode %d, %s: malformed HEARD was relayed: %v", mode, tc.name, ctx.out)
+			}
+			// Nor did it take the dedup slot of the valid report.
+			p.Deliver(ctx, relay, valid)
+			if p.evals() != 1 {
+				t.Errorf("mode %d, %s: valid report after it was not recorded", mode, tc.name)
+			}
 		}
 	}
 }
@@ -80,7 +94,7 @@ func TestBV4AcceptsValidHeardAndRelays(t *testing.T) {
 	p.Deliver(ctx, relay, sim.Message{
 		Kind: sim.KindHeard, Origin: origin, Value: 1, Path: []topology.NodeID{relay},
 	})
-	if len(p.store.Chains(origin, 1)) != 1 {
+	if p.evals() != 1 {
 		t.Fatal("valid chain not recorded")
 	}
 	// Exact mode relays everything under the cap, with self affixed.
@@ -97,7 +111,7 @@ func TestBV4AcceptsValidHeardAndRelays(t *testing.T) {
 	p.Deliver(ctx, relay, sim.Message{
 		Kind: sim.KindHeard, Origin: origin, Value: 0, Path: []topology.NodeID{relay},
 	})
-	if len(p.store.Chains(origin, 0)) != 0 {
+	if p.evals() != 1 {
 		t.Error("contradictory retransmission must be ignored")
 	}
 	if len(ctx.out) != before {
@@ -118,7 +132,7 @@ func TestBV4MaxLengthChainRecordedNotRelayed(t *testing.T) {
 	p.Deliver(ctx, path[2], sim.Message{
 		Kind: sim.KindHeard, Origin: origin, Value: 1, Path: path,
 	})
-	if len(p.store.Chains(origin, 1)) != 1 {
+	if p.evals() != 1 {
 		t.Error("three-relay chain must be recorded")
 	}
 	if len(ctx.out) != 0 {
@@ -137,7 +151,7 @@ func TestBV4CommittedSpoofDropped(t *testing.T) {
 	// COMMITTED whose Origin differs from the sender: physically impossible
 	// under the authenticated medium; must be dropped.
 	p.Deliver(ctx, liar, sim.Message{Kind: sim.KindCommitted, Origin: victim, Value: 0})
-	if p.store.HasDirect(victim, 0) || p.store.HasDirect(liar, 0) {
+	if p.ev.HasDirect(victim, 0) || p.ev.HasDirect(liar, 0) || p.ev.Determined(victim, 0) {
 		t.Error("spoofed COMMITTED must be dropped entirely")
 	}
 }
@@ -151,10 +165,10 @@ func TestBV4FirstCommittedWins(t *testing.T) {
 	n := net.IDOf(grid.C(5, 4))
 	p.Deliver(ctx, n, sim.Message{Kind: sim.KindCommitted, Origin: n, Value: 1})
 	p.Deliver(ctx, n, sim.Message{Kind: sim.KindCommitted, Origin: n, Value: 0})
-	if !p.store.HasDirect(n, 1) {
+	if !p.ev.HasDirect(n, 1) || !p.ev.Determined(n, 1) {
 		t.Error("first announcement lost")
 	}
-	if p.store.HasDirect(n, 0) {
+	if p.ev.HasDirect(n, 0) || p.ev.Determined(n, 0) {
 		t.Error("contradictory announcement accepted (§V violation)")
 	}
 }
@@ -186,23 +200,5 @@ func TestBV4SourceValueCommitsNeighbor(t *testing.T) {
 	p2.Deliver(ctx2, other, sim.Message{Kind: sim.KindValue, Value: 0})
 	if _, ok := p2.Decided(); ok {
 		t.Error("VALUE from a non-source must not commit")
-	}
-}
-
-func TestHeardKeyDistinguishes(t *testing.T) {
-	a := newHeardKey(1, []topology.NodeID{2, 3})
-	variants := []heardKey{
-		newHeardKey(2, []topology.NodeID{2, 3}),
-		newHeardKey(1, []topology.NodeID{3, 2}),
-		newHeardKey(1, []topology.NodeID{2}),
-		newHeardKey(1, nil),
-	}
-	for i, v := range variants {
-		if v == a {
-			t.Errorf("variant %d collides", i)
-		}
-	}
-	if newHeardKey(1, []topology.NodeID{2, 3}) != a {
-		t.Error("identical keys must match")
 	}
 }
