@@ -82,6 +82,10 @@ func newLogger(format, level string) (*slog.Logger, error) {
 	}
 }
 
+// readHeaderTimeout bounds how long either listener waits for a client's
+// request headers, so idle or trickling connections cannot pin goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 // serveOps serves the operations listener: pprof under /debug/pprof/ plus
 // the daemon's /metrics and /healthz, so an operator (or a scraper) never
 // has to touch the public port.
@@ -99,7 +103,7 @@ func serveOps(addr string, srv *server.Server, logger *slog.Logger) (*http.Serve
 	mux.Handle("/metrics", srv)
 	mux.Handle("/healthz", srv)
 	mux.Handle("/debug/requests", srv)
-	ops := &http.Server{Handler: mux}
+	ops := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	go func() {
 		if err := ops.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			logger.Error("ops serve", "err", err)
@@ -176,7 +180,7 @@ func main() {
 		PeerTimeout:    *peerTimeout,
 		Redirect:       *redirect,
 	})
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 
 	logger.Info("rbcastd listening", "addr", ln.Addr())
 	if srv.Clustered() {

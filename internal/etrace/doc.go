@@ -1,14 +1,16 @@
-// Package etrace records structured execution events — broadcasts,
-// deliveries, evidence evaluations, crashes, spoofed attributions and
-// commits with their justifying certificates — so a run can answer the
-// question the paper's staged-induction arguments answer on paper: *why*
-// did node g commit value v at round k (Thm 1–3, §VI-B; Thm 6, §IX).
+// Package etrace is the engines' one per-run tap. It always counts
+// broadcasts, deliveries, evidence evaluations and commits per round (the
+// source of Result.Metrics), and, when built with tracing on, records
+// structured execution events — broadcasts, deliveries, evidence
+// evaluations, crashes, spoofed attributions and commits with their
+// justifying certificates — so a run can answer the question the paper's
+// staged-induction arguments answer on paper: *why* did node g commit
+// value v at round k (Thm 1–3, §VI-B; Thm 6, §IX).
 //
-// The recorder follows the metrics.Collector tap discipline exactly: a nil
-// *Recorder is a valid no-op sink, every method begins with a nil check,
-// and the engines tap unconditionally — tracing off costs one predictable
-// branch per event site and zero allocations, which the alloc-regression
-// gates enforce.
+// A nil *Recorder is a valid no-op sink and every method begins with a nil
+// check, so the engines tap unconditionally. Tracing off costs one
+// predictable branch per event site and no per-event allocation, which the
+// alloc-regression gates enforce.
 //
 // Determinism: on the sequential engine the event order is fully
 // deterministic. On the concurrent runtime, broadcast and delivery events

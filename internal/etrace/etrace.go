@@ -114,25 +114,112 @@ type Event struct {
 	Cert *Certificate
 }
 
-// Recorder accumulates events in order. It follows the metrics.Collector
-// tap discipline: a nil *Recorder is a valid no-op sink, so engines and
-// protocols tap unconditionally and pay one nil check when tracing is off.
-// All methods are safe for concurrent use — the concurrent runtime records
-// commit and evidence events from many node goroutines at once (within a
-// round their interleaving is scheduler-dependent; see the package doc).
+// RoundCounters is one engine round's event counts. Round 0 is process
+// initialization (the source's first broadcast is queued there but
+// transmitted in round 1).
+type RoundCounters struct {
+	// Broadcasts counts local broadcasts transmitted in the round
+	// (including blind retransmissions on a lossy medium).
+	Broadcasts int64
+	// Deliveries counts per-receiver message deliveries in the round.
+	Deliveries int64
+	// EvidenceEvals counts commit-rule evidence evaluations performed by
+	// honest processes in the round.
+	EvidenceEvals int64
+	// Commits counts first-time decisions observed in the round.
+	Commits int64
+}
+
+// Recorder is the one per-run engine tap. It always keeps per-round
+// counters; it appends events only when built with tracing on. A nil
+// *Recorder is a valid no-op sink, so engines and protocols tap
+// unconditionally. All methods are safe for concurrent use — the
+// concurrent runtime taps commit and evidence events from many node
+// goroutines at once (within a round their interleaving is
+// scheduler-dependent; see the package doc).
 type Recorder struct {
+	traced bool
 	mu     sync.Mutex
+	rounds []RoundCounters
 	events []Event
 }
 
-// New creates an empty recorder.
-func New() *Recorder { return &Recorder{} }
+// New creates an empty recorder; traced arms event recording.
+func New(traced bool) *Recorder { return &Recorder{traced: traced} }
 
-// Enabled reports whether events are being recorded. Protocols use it to
-// skip certificate construction entirely on untraced runs.
-func (r *Recorder) Enabled() bool { return r != nil }
+// Tracing reports whether events are being recorded. Engines and
+// protocols use it to skip event and certificate construction entirely on
+// untraced runs.
+func (r *Recorder) Tracing() bool { return r != nil && r.traced }
 
-// record appends one event under the lock.
+// round returns the per-round bucket, growing the histogram as needed.
+// Negative rounds clamp to 0. Callers must hold r.mu.
+func (r *Recorder) round(round int) *RoundCounters {
+	round = max(round, 0)
+	for len(r.rounds) <= round {
+		r.rounds = append(r.rounds, RoundCounters{})
+	}
+	return &r.rounds[round]
+}
+
+// Traffic counts one round's local broadcasts and per-receiver deliveries.
+// Zero counts leave the histogram untouched.
+func (r *Recorder) Traffic(round int, broadcasts, deliveries int64) {
+	if r == nil || broadcasts == 0 && deliveries == 0 {
+		return
+	}
+	r.mu.Lock()
+	rc := r.round(round)
+	rc.Broadcasts += broadcasts
+	rc.Deliveries += deliveries
+	r.mu.Unlock()
+}
+
+// Decision counts one first-time decision observed by the engine.
+func (r *Recorder) Decision(round int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.round(round).Commits++
+	r.mu.Unlock()
+}
+
+// Counts returns a copy of the per-round counters and their column totals.
+func (r *Recorder) Counts() (perRound []RoundCounters, total RoundCounters) {
+	if r == nil {
+		return nil, total
+	}
+	r.mu.Lock()
+	perRound = append([]RoundCounters(nil), r.rounds...)
+	r.mu.Unlock()
+	for _, rc := range perRound {
+		total.Broadcasts += rc.Broadcasts
+		total.Deliveries += rc.Deliveries
+		total.EvidenceEvals += rc.EvidenceEvals
+		total.Commits += rc.Commits
+	}
+	return perRound, total
+}
+
+// Clone returns an independent recorder carrying an exact copy of the
+// state. A forked engine (sim.Engine.Fork) clones the tap at the fork point
+// so the shared execution prefix is counted once per branch, exactly as if
+// each branch had simulated the prefix itself. Cloning nil returns nil.
+func (r *Recorder) Clone() *Recorder {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return &Recorder{
+		traced: r.traced,
+		rounds: append([]RoundCounters(nil), r.rounds...),
+		events: append([]Event(nil), r.events...),
+	}
+}
+
+// record appends one event under the lock; callers have checked Tracing.
 func (r *Recorder) record(ev Event) {
 	r.mu.Lock()
 	r.events = append(r.events, ev)
@@ -150,7 +237,7 @@ func copyPath(path []topology.NodeID) []topology.NodeID {
 
 // Broadcast records one local broadcast of a message.
 func (r *Recorder) Broadcast(round int, from topology.NodeID, msgKind uint8, value byte, origin topology.NodeID, path []topology.NodeID) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
 	r.record(Event{Round: round, Kind: KindBroadcast, Node: from,
@@ -159,37 +246,39 @@ func (r *Recorder) Broadcast(round int, from topology.NodeID, msgKind uint8, val
 
 // Delivery records one per-receiver delivery.
 func (r *Recorder) Delivery(round int, node, from topology.NodeID, msgKind uint8, value byte, origin topology.NodeID, path []topology.NodeID) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
 	r.record(Event{Round: round, Kind: KindDelivery, Node: node, From: from,
 		MsgKind: msgKind, Value: value, Origin: origin, Path: copyPath(path)})
 }
 
-// EvidenceEval records one commit-rule evidence evaluation about (origin,
-// value) at the evaluating node.
+// EvidenceEval counts one commit-rule evidence evaluation about (origin,
+// value) at the evaluating node, and records it when tracing.
 func (r *Recorder) EvidenceEval(round int, node, origin topology.NodeID, value byte) {
 	if r == nil {
 		return
 	}
-	r.record(Event{Round: round, Kind: KindEvidenceEval, Node: node, Origin: origin, Value: value})
+	r.mu.Lock()
+	r.round(round).EvidenceEvals++
+	if r.traced {
+		r.events = append(r.events, Event{Round: round, Kind: KindEvidenceEval, Node: node, Origin: origin, Value: value})
+	}
+	r.mu.Unlock()
 }
 
 // Crash records a node silenced from the given round onward.
 func (r *Recorder) Crash(round int, node topology.NodeID) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
-	if round < 0 {
-		round = 0
-	}
-	r.record(Event{Round: round, Kind: KindCrash, Node: node})
+	r.record(Event{Round: max(round, 0), Kind: KindCrash, Node: node})
 }
 
 // Spoof records a delivery whose attribution diverged from the physical
 // transmitter: node received from `from` but ascribed it to `claimed`.
 func (r *Recorder) Spoof(round int, node, from, claimed topology.NodeID) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
 	r.record(Event{Round: round, Kind: KindSpoof, Node: node, From: from, Claimed: claimed})
@@ -199,7 +288,7 @@ func (r *Recorder) Spoof(round int, node, from, claimed topology.NodeID) {
 // nil if the protocol could not reconstruct one (defensive; honest
 // protocols always supply it).
 func (r *Recorder) Commit(round int, node topology.NodeID, value byte, cert *Certificate) {
-	if r == nil {
+	if !r.Tracing() {
 		return
 	}
 	r.record(Event{Round: round, Kind: KindCommit, Node: node, Value: value, Cert: cert})

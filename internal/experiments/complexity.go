@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"repro/internal/bounds"
+	"repro/internal/etrace"
 	"repro/internal/fault"
 	"repro/internal/grid"
-	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/topology"
 )
@@ -61,10 +61,10 @@ func runE25MessageComplexity() (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		collector := metrics.New()
+		tap := etrace.New(false)
 		cfg := protocol.RunConfig{
 			Kind:      sc.kind,
-			Params:    protocol.Params{Net: net, Source: src, Value: 1, T: tMax, Mode: sc.mode, Metrics: collector},
+			Params:    protocol.Params{Net: net, Source: src, Value: 1, T: tMax, Mode: sc.mode, Tap: tap},
 			Byzantine: byzMap(band, fault.Silent),
 		}
 		if sc.kind == protocol.Flood {
@@ -78,19 +78,14 @@ func runE25MessageComplexity() (Report, error) {
 		if !out.AllCorrect() {
 			rep.Pass = false
 		}
-		// Reconcile the metrics layer against the engine's own counters:
-		// the collector total and its per-round histogram must both equal
-		// the measured broadcast count for every scenario in the table.
-		snap := collector.Snapshot()
-		roundSum := int64(0)
-		for _, rc := range snap.PerRound {
-			roundSum += rc.Broadcasts
-		}
-		if snap.Broadcasts != int64(out.Result.Stats.Broadcasts) || roundSum != snap.Broadcasts {
+		// Reconcile the tap against the engine's own counters: the
+		// per-round broadcast histogram must sum to the measured broadcast
+		// count for every scenario in the table.
+		if _, total := tap.Counts(); total.Broadcasts != int64(out.Result.Stats.Broadcasts) {
 			rep.Pass = false
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
-				"METRICS MISMATCH %s/r%d: collector %d, histogram %d, stats %d",
-				sc.name, sc.r, snap.Broadcasts, roundSum, out.Result.Stats.Broadcasts))
+				"METRICS MISMATCH %s/r%d: tap histogram %d, stats %d",
+				sc.name, sc.r, total.Broadcasts, out.Result.Stats.Broadcasts))
 		}
 		pn := float64(out.Result.Stats.Broadcasts) / float64(net.Size())
 		key := fmt.Sprintf("%s/r%d", sc.name, sc.r)
@@ -115,7 +110,7 @@ func runE25MessageComplexity() (Report, error) {
 	rep.Notes = append(rep.Notes,
 		"flood and cpa send Θ(1) broadcasts/node; the indirect-report protocols pay for their evidence in messages — the price of the exact threshold")
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"metrics reconciliation: per-scenario collector totals and per-round histograms all match the measured broadcast counts (bv4/r1 earmarked: %d broadcasts)",
+		"metrics reconciliation: per-scenario tap histograms all sum to the measured broadcast counts (bv4/r1 earmarked: %d broadcasts)",
 		totals["bv4 (earmarked)/r1"]))
 	return rep, nil
 }

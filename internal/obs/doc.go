@@ -4,12 +4,11 @@
 // time go" for one slow request the way /metrics answers it for the
 // fleet.
 //
-// It follows the repository's tap discipline (internal/metrics,
-// internal/etrace): a nil *Trace and a nil *Recorder are valid no-op
-// sinks, so the serving stack instruments unconditionally and pays one
-// pointer check per tap when the flight recorder is disarmed — the
-// allocation gates in alloc_test.go pin that the disarmed path allocates
-// nothing.
+// It follows the repository's tap discipline (internal/etrace): a nil
+// *Trace and a nil *Recorder are valid no-op sinks, so the serving stack
+// instruments unconditionally and pays one pointer check per tap when the
+// flight recorder is disarmed — the allocation gates in alloc_test.go pin
+// that the disarmed path allocates nothing.
 //
 // A Trace is created per request (or per asynchronous batch job) by the
 // HTTP layer, carried through the execution stack either explicitly or

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/etrace"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -61,8 +60,7 @@ type brachaProc struct {
 	// relayed dedups the authenticated variant's signed flooding: each
 	// distinct (kind, signer, value) message is re-broadcast once.
 	relayed map[string]struct{}
-	mc      *metrics.Collector
-	tr      *etrace.Recorder
+	tap     *etrace.Recorder
 	// Trace-only certificate state, never allocated on untraced runs:
 	// ordered endorser lists per value, and the ECHO quorum snapshot taken
 	// when the node's own READY fired via the echo path.
@@ -87,8 +85,7 @@ func newBrachaFactory(p Params, kind Kind) (sim.ProcessFactory, error) {
 			auth:   auth,
 			spoof:  p.SpoofingPossible,
 			value:  p.Value,
-			mc:     p.Metrics,
-			tr:     p.Trace,
+			tap:    p.Tap,
 		}
 		for v := 0; v < 2; v++ {
 			b.echoes[v] = make(map[topology.NodeID]struct{})
@@ -109,8 +106,8 @@ func (b *brachaProc) Init(ctx sim.Context) {
 		return
 	}
 	b.decided = true
-	if b.tr.Enabled() {
-		b.tr.Commit(ctx.Round(), b.self, b.value,
+	if b.tap.Tracing() {
+		b.tap.Commit(ctx.Round(), b.self, b.value,
 			&etrace.Certificate{Rule: etrace.RuleSource, Value: b.value})
 	}
 	val := sim.Message{Kind: sim.KindValue, Value: b.value}
@@ -135,8 +132,8 @@ func (b *brachaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Messag
 		return // plain mode: fully resolved, no relaying duties remain
 	}
 	sender := attributedSender(b.spoof, from, m)
-	if b.tr.Enabled() && sender != from {
-		b.tr.Spoof(ctx.Round(), b.self, from, sender)
+	if b.tap.Tracing() && sender != from {
+		b.tap.Spoof(ctx.Round(), b.self, from, sender)
 	}
 	switch m.Kind {
 	case sim.KindValue:
@@ -220,7 +217,7 @@ func (b *brachaProc) addEcho(id topology.NodeID, v byte) bool {
 		return false
 	}
 	b.echoes[v][id] = struct{}{}
-	if b.tr.Enabled() {
+	if b.tap.Tracing() {
 		b.echoVoters[v] = append(b.echoVoters[v], id)
 	}
 	return true
@@ -232,7 +229,7 @@ func (b *brachaProc) addReady(id topology.NodeID, v byte) bool {
 		return false
 	}
 	b.readies[v][id] = struct{}{}
-	if b.tr.Enabled() {
+	if b.tap.Tracing() {
 		b.readyVoters[v] = append(b.readyVoters[v], id)
 	}
 	return true
@@ -241,14 +238,11 @@ func (b *brachaProc) addReady(id topology.NodeID, v byte) bool {
 // evaluate re-checks the quorum thresholds for v after a tally change — the
 // protocol's commit-rule evidence evaluation, tapped like the BV protocols'.
 func (b *brachaProc) evaluate(ctx sim.Context, v byte) {
-	b.mc.AddEvidenceEvals(ctx.Round(), 1)
-	if b.tr.Enabled() {
-		b.tr.EvidenceEval(ctx.Round(), b.self, b.source, v)
-	}
+	b.tap.EvidenceEval(ctx.Round(), b.self, b.source, v)
 	if !b.readied && (len(b.echoes[v]) >= b.n-b.f || len(b.readies[v]) >= b.f+1) {
 		b.readied = true
 		b.readyVal = v
-		if b.tr.Enabled() && len(b.echoes[v]) >= b.n-b.f {
+		if b.tap.Tracing() && len(b.echoes[v]) >= b.n-b.f {
 			// The READY fired via the echo path: snapshot the quorum for
 			// the delivery certificate.
 			b.echoCert = append([]topology.NodeID(nil), b.echoVoters[v]...)
@@ -266,7 +260,7 @@ func (b *brachaProc) evaluate(ctx sim.Context, v byte) {
 func (b *brachaProc) commit(ctx sim.Context, v byte) {
 	b.decided = true
 	b.value = v
-	if b.tr.Enabled() {
+	if b.tap.Tracing() {
 		cert := &etrace.Certificate{
 			Rule:   etrace.RuleReadyQuorum,
 			Value:  v,
@@ -275,7 +269,7 @@ func (b *brachaProc) commit(ctx sim.Context, v byte) {
 		if b.readyVal == v && len(b.echoCert) > 0 {
 			cert.Echoes = append([]topology.NodeID(nil), b.echoCert...)
 		}
-		b.tr.Commit(ctx.Round(), b.self, v, cert)
+		b.tap.Commit(ctx.Round(), b.self, v, cert)
 	}
 }
 

@@ -3,7 +3,6 @@ package protocol
 import (
 	"repro/internal/etrace"
 	"repro/internal/evidence"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -20,9 +19,8 @@ type bv2Proc struct {
 	source topology.NodeID
 	t      int
 	net    *topology.Network
-	spoof  bool               // §X study: medium does not authenticate senders
-	mc     *metrics.Collector // evidence-evaluation tap (nil = off)
-	tr     *etrace.Recorder   // event/certificate tap (nil = off)
+	spoof  bool             // §X study: medium does not authenticate senders
+	tap    *etrace.Recorder // evidence-counting and event tap (nil = off)
 
 	value     byte
 	decided   bool
@@ -51,8 +49,7 @@ func newBV2Factory(p Params) (sim.ProcessFactory, error) {
 			t:           p.T,
 			net:         net,
 			spoof:       p.SpoofingPossible,
-			mc:          p.Metrics,
-			tr:          p.Trace,
+			tap:         p.Tap,
 			value:       p.Value,
 			store:       evidence.NewStore(),
 			firstCommit: make(map[topology.NodeID]struct{}),
@@ -67,8 +64,8 @@ func (b *bv2Proc) Init(ctx sim.Context) {
 	if b.self == b.source {
 		b.decided = true
 		b.announced = true
-		if b.tr.Enabled() {
-			b.tr.Commit(ctx.Round(), b.self, b.value,
+		if b.tap.Tracing() {
+			b.tap.Commit(ctx.Round(), b.self, b.value,
 				&etrace.Certificate{Rule: etrace.RuleSource, Value: b.value})
 		}
 		ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: b.value})
@@ -81,8 +78,8 @@ func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		return // not a binary broadcast value
 	}
 	sender := attributedSender(b.spoof, from, m)
-	if b.tr.Enabled() && sender != from {
-		b.tr.Spoof(ctx.Round(), b.self, from, sender)
+	if b.tap.Tracing() && sender != from {
+		b.tap.Spoof(ctx.Round(), b.self, from, sender)
 	}
 	switch m.Kind {
 	case sim.KindValue:
@@ -94,7 +91,7 @@ func (b *bv2Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		b.acceptCommitted(ctx, sender, m.Value)
 		if !b.decided {
 			var cert *etrace.Certificate
-			if b.tr.Enabled() {
+			if b.tap.Tracing() {
 				cert = &etrace.Certificate{Rule: etrace.RuleDirect, Value: m.Value,
 					Voters: []topology.NodeID{sender}}
 			}
@@ -150,10 +147,7 @@ func (b *bv2Proc) tryCommit(ctx sim.Context, chain evidence.Chain) {
 	if b.decided {
 		return
 	}
-	b.mc.AddEvidenceEvals(ctx.Round(), 1)
-	if b.tr.Enabled() {
-		b.tr.EvidenceEval(ctx.Round(), b.self, chain.Origin, chain.Value)
-	}
+	b.tap.EvidenceEval(ctx.Round(), b.self, chain.Origin, chain.Value)
 	if evidence.CommitSingleLevelFocused(b.net, b.store, b.self, chain.Value, b.t+1, chain) {
 		b.commit(ctx, chain.Value, b.chainCert(chain.Value))
 	}
@@ -163,7 +157,7 @@ func (b *bv2Proc) tryCommit(ctx sim.Context, chain evidence.Chain) {
 // fired: a neighborhood center and t+1 collectively node-disjoint chains
 // for v inside it. Nil on untraced runs.
 func (b *bv2Proc) chainCert(v byte) *etrace.Certificate {
-	if !b.tr.Enabled() {
+	if !b.tap.Tracing() {
 		return nil
 	}
 	center, chains, ok := evidence.CommitWitness(b.net, b.store, b.self, v, b.t+1)
@@ -190,8 +184,8 @@ func (b *bv2Proc) chainCert(v byte) *etrace.Certificate {
 func (b *bv2Proc) commit(ctx sim.Context, v byte, cert *etrace.Certificate) {
 	b.decided = true
 	b.value = v
-	if b.tr.Enabled() {
-		b.tr.Commit(ctx.Round(), b.self, v, cert)
+	if b.tap.Tracing() {
+		b.tap.Commit(ctx.Round(), b.self, v, cert)
 	}
 	if !b.announced {
 		b.announced = true

@@ -7,7 +7,6 @@ import (
 	"repro/internal/etrace"
 	"repro/internal/evidence"
 	"repro/internal/grid"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -41,9 +40,8 @@ type bv4Proc struct {
 	t      int
 	net    *topology.Network
 	mode   EvidenceMode
-	spoof  bool               // §X study: medium does not authenticate senders
-	mc     *metrics.Collector // evidence-evaluation tap (nil = off)
-	tr     *etrace.Recorder   // event/certificate tap (nil = off)
+	spoof  bool             // §X study: medium does not authenticate senders
+	tap    *etrace.Recorder // evidence-counting and event tap (nil = off)
 
 	value     byte
 	decided   bool
@@ -108,8 +106,7 @@ func newBV4Factory(p Params) (sim.ProcessFactory, error) {
 			net:      net,
 			mode:     mode,
 			spoof:    p.SpoofingPossible,
-			mc:       p.Metrics,
-			tr:       p.Trace,
+			tap:      p.Tap,
 			value:    p.Value,
 			ev:       ev,
 			selfPath: [1]topology.NodeID{id},
@@ -126,8 +123,8 @@ func (b *bv4Proc) Init(ctx sim.Context) {
 	if b.self == b.source {
 		b.decided = true
 		b.announced = true
-		if b.tr.Enabled() {
-			b.tr.Commit(ctx.Round(), b.self, b.value,
+		if b.tap.Tracing() {
+			b.tap.Commit(ctx.Round(), b.self, b.value,
 				&etrace.Certificate{Rule: etrace.RuleSource, Value: b.value})
 		}
 		ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: b.value})
@@ -140,8 +137,8 @@ func (b *bv4Proc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		return
 	}
 	sender := attributedSender(b.spoof, from, m)
-	if b.tr.Enabled() && sender != from {
-		b.tr.Spoof(ctx.Round(), b.self, from, sender)
+	if b.tap.Tracing() && sender != from {
+		b.tap.Spoof(ctx.Round(), b.self, from, sender)
 	}
 	switch m.Kind {
 	case sim.KindValue:
@@ -236,10 +233,7 @@ func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte, confir
 	if b.ev.Determined(origin, v) {
 		return false // already counted; avoid re-evaluation
 	}
-	b.mc.AddEvidenceEvals(round, 1)
-	if b.tr.Enabled() {
-		b.tr.EvidenceEval(round, b.self, origin, v)
-	}
+	b.tap.EvidenceEval(round, b.self, origin, v)
 	need := b.t + 1
 	if b.mode == Designated {
 		// Designated paths are internally disjoint and lie inside one
@@ -263,8 +257,8 @@ func (b *bv4Proc) onDetermined(ctx sim.Context, origin topology.NodeID, v byte) 
 func (b *bv4Proc) commit(ctx sim.Context, v byte, cert *etrace.Certificate) {
 	b.decided = true
 	b.value = v
-	if b.tr.Enabled() {
-		b.tr.Commit(ctx.Round(), b.self, v, cert)
+	if b.tap.Tracing() {
+		b.tap.Commit(ctx.Round(), b.self, v, cert)
 	}
 	if !b.announced {
 		b.announced = true
@@ -275,7 +269,7 @@ func (b *bv4Proc) commit(ctx sim.Context, v byte, cert *etrace.Certificate) {
 // directCert builds the base-case certificate: the value was heard
 // directly from the designated source. Nil on untraced runs.
 func (b *bv4Proc) directCert(sender topology.NodeID, v byte) *etrace.Certificate {
-	if !b.tr.Enabled() {
+	if !b.tap.Tracing() {
 		return nil
 	}
 	return &etrace.Certificate{Rule: etrace.RuleDirect, Value: v, Voters: []topology.NodeID{sender}}
@@ -286,7 +280,7 @@ func (b *bv4Proc) directCert(sender topology.NodeID, v byte) *etrace.Certificate
 // determined committers of v, each backed by a direct COMMITTED reception
 // or by its confirmed disjoint chain family. Nil on untraced runs.
 func (b *bv4Proc) quorumCert(v byte) *etrace.Certificate {
-	if !b.tr.Enabled() {
+	if !b.tap.Tracing() {
 		return nil
 	}
 	need := b.t + 1

@@ -10,7 +10,6 @@ import (
 	"repro/internal/etrace"
 	"repro/internal/evidence"
 	"repro/internal/grid"
-	"repro/internal/metrics"
 	"repro/internal/paths"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -108,8 +107,7 @@ type seedProc struct {
 	net          *topology.Network
 	sf           *seedFamilies
 	spoof        bool
-	mc           *metrics.Collector
-	tr           *etrace.Recorder
+	tap          *etrace.Recorder
 
 	value              byte
 	decided, announced bool
@@ -129,7 +127,7 @@ type detKey struct {
 func newSeedProc(p Params, sf *seedFamilies, self topology.NodeID) *seedProc {
 	return &seedProc{
 		self: self, source: p.Source, t: p.T, net: p.Net.(*topology.Network), sf: sf,
-		spoof: p.SpoofingPossible, mc: p.Metrics, tr: p.Trace, value: p.Value,
+		spoof: p.SpoofingPossible, tap: p.Tap, value: p.Value,
 		store:       evidence.NewStore(),
 		firstCommit: make(map[topology.NodeID]bool),
 		firstHeard:  make(map[[4]topology.NodeID]bool),
@@ -143,8 +141,8 @@ func (s *seedProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message)
 		return
 	}
 	sender := attributedSender(s.spoof, from, m)
-	if s.tr.Enabled() && sender != from {
-		s.tr.Spoof(ctx.Round(), s.self, from, sender)
+	if s.tap.Tracing() && sender != from {
+		s.tap.Spoof(ctx.Round(), s.self, from, sender)
 	}
 	switch m.Kind {
 	case sim.KindValue:
@@ -199,10 +197,7 @@ func (s *seedProc) acceptHeard(ctx sim.Context, from topology.NodeID, m sim.Mess
 	s.firstHeard[key] = true
 	s.store.Add(evidence.Chain{Origin: m.Origin, Value: m.Value, Relays: append([]topology.NodeID(nil), m.Path...)})
 	if !s.determined[detKey{m.Origin, m.Value}] {
-		s.mc.AddEvidenceEvals(ctx.Round(), 1)
-		if s.tr.Enabled() {
-			s.tr.EvidenceEval(ctx.Round(), s.self, m.Origin, m.Value)
-		}
+		s.tap.EvidenceEval(ctx.Round(), s.self, m.Origin, m.Value)
 		if s.store.HasDirect(m.Origin, m.Value) || len(s.confirmedChains(m.Origin, m.Value)) >= s.t+1 {
 			s.onDetermined(ctx, m.Origin, m.Value)
 		}
@@ -256,7 +251,7 @@ func (s *seedProc) onDetermined(ctx sim.Context, origin topology.NodeID, v byte)
 
 func (s *seedProc) commit(ctx sim.Context, v byte, cert *etrace.Certificate) {
 	s.decided, s.value = true, v
-	s.tr.Commit(ctx.Round(), s.self, v, cert)
+	s.tap.Commit(ctx.Round(), s.self, v, cert)
 	if !s.announced {
 		s.announced = true
 		ctx.Broadcast(sim.Message{Kind: sim.KindCommitted, Origin: s.self, Value: v})
@@ -452,7 +447,7 @@ func diffStream(t *testing.T, name string, net *topology.Network, sf *seedFamili
 	tVal := rng.Intn(2)
 	params := func() Params {
 		return Params{Net: net, Source: src, Value: 1, T: tVal, SpoofingPossible: spoof,
-			Metrics: metrics.New(), Trace: etrace.New()}
+			Tap: etrace.New(true)}
 	}
 	factory, err := newBV4Factory(params())
 	if err != nil {
@@ -467,7 +462,7 @@ func diffStream(t *testing.T, name string, net *topology.Network, sf *seedFamili
 		}
 	}
 	gp := params()
-	got.mc, got.tr = gp.Metrics, gp.Trace
+	got.tap = gp.Tap
 	want := newSeedProc(params(), sf, self)
 	gctx, wctx := &captureCtx{self: self}, &captureCtx{self: self}
 
@@ -494,13 +489,15 @@ func diffStream(t *testing.T, name string, net *topology.Network, sf *seedFamili
 			}
 		}
 	}
-	if g, w := got.mc.Snapshot().EvidenceEvals, want.mc.Snapshot().EvidenceEvals; g != w || g == 0 {
+	_, gotTotal := got.tap.Counts()
+	_, wantTotal := want.tap.Counts()
+	if g, w := gotTotal.EvidenceEvals, wantTotal.EvidenceEvals; g != w || g == 0 {
 		t.Fatalf("%s: EvidenceEvals %d, oracle %d", name, g, w)
 	}
-	if g, w := got.tr.Events(), want.tr.Events(); !reflect.DeepEqual(g, w) {
+	if g, w := got.tap.Events(), want.tap.Events(); !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: trace events diverge\n got %+v\nwant %+v", name, g, w)
 	}
-	for _, ev := range want.tr.Events() {
+	for _, ev := range want.tap.Events() {
 		if ev.Kind == etrace.KindCommit && ev.Cert.Rule == etrace.RuleQuorum {
 			for _, e := range ev.Cert.Evidence {
 				if len(e.Chains) > 0 {

@@ -3,8 +3,8 @@ package protocol
 import (
 	"testing"
 
+	"repro/internal/etrace"
 	"repro/internal/grid"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -24,7 +24,7 @@ func (c *captureCtx) Broadcast(m sim.Message) { c.out = append(c.out, m) }
 // origin is evaluated exactly once.
 func newBV4(t *testing.T, net *topology.Network, self, source topology.NodeID, tVal int, mode EvidenceMode) *bv4Proc {
 	t.Helper()
-	factory, err := newBV4Factory(Params{Net: net, Source: source, Value: 1, T: tVal, Mode: mode, Metrics: metrics.New()})
+	factory, err := newBV4Factory(Params{Net: net, Source: source, Value: 1, T: tVal, Mode: mode, Tap: etrace.New(false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,10 @@ func newBV4(t *testing.T, net *topology.Network, self, source topology.NodeID, t
 }
 
 // evals is the number of HEARDs the process recorded and evaluated.
-func (b *bv4Proc) evals() int64 { return b.mc.Snapshot().EvidenceEvals }
+func (b *bv4Proc) evals() int64 {
+	_, total := b.tap.Counts()
+	return total.EvidenceEvals
+}
 
 func TestBV4RejectsMalformedHeard(t *testing.T) {
 	net := testNet(t, 9, 9, 1)

@@ -25,7 +25,7 @@ type cpaProc struct {
 	// suffice — no per-value membership sets on the delivery path.
 	votes [2]int
 	heard map[topology.NodeID]struct{} // neighbors whose announcement was consumed
-	tr    *etrace.Recorder             // event/certificate tap (nil = off)
+	tap   *etrace.Recorder             // event/certificate tap (nil = off)
 	// voters[v] retains the counted announcers per value — trace-only
 	// state (the vote-set certificate), never allocated on untraced runs.
 	voters [2][]topology.NodeID
@@ -41,7 +41,7 @@ func newCPAFactory(p Params) sim.ProcessFactory {
 			spoof:  p.SpoofingPossible,
 			value:  p.Value,
 			heard:  make(map[topology.NodeID]struct{}),
-			tr:     p.Trace,
+			tap:    p.Tap,
 		}
 	}
 }
@@ -50,8 +50,8 @@ func newCPAFactory(p Params) sim.ProcessFactory {
 func (c *cpaProc) Init(ctx sim.Context) {
 	if c.self == c.source {
 		c.decided = true
-		if c.tr.Enabled() {
-			c.tr.Commit(ctx.Round(), c.self, c.value,
+		if c.tap.Tracing() {
+			c.tap.Commit(ctx.Round(), c.self, c.value,
 				&etrace.Certificate{Rule: etrace.RuleSource, Value: c.value})
 		}
 		ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: c.value})
@@ -64,13 +64,13 @@ func (c *cpaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 		return
 	}
 	sender := attributedSender(c.spoof, from, m)
-	if c.tr.Enabled() && sender != from {
-		c.tr.Spoof(ctx.Round(), c.self, from, sender)
+	if c.tap.Tracing() && sender != from {
+		c.tap.Spoof(ctx.Round(), c.self, from, sender)
 	}
 	// Direct reception from the designated source: commit immediately.
 	if sender == c.source {
 		var cert *etrace.Certificate
-		if c.tr.Enabled() {
+		if c.tap.Tracing() {
 			cert = &etrace.Certificate{Rule: etrace.RuleDirect, Value: m.Value,
 				Voters: []topology.NodeID{sender}}
 		}
@@ -82,12 +82,12 @@ func (c *cpaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 	}
 	c.heard[sender] = struct{}{}
 	c.votes[m.Value]++
-	if c.tr.Enabled() {
+	if c.tap.Tracing() {
 		c.voters[m.Value] = append(c.voters[m.Value], sender)
 	}
 	if c.votes[m.Value] >= c.t+1 {
 		var cert *etrace.Certificate
-		if c.tr.Enabled() {
+		if c.tap.Tracing() {
 			cert = &etrace.Certificate{Rule: etrace.RuleVotes, Value: m.Value,
 				Voters: append([]topology.NodeID(nil), c.voters[m.Value]...)}
 		}
@@ -100,8 +100,8 @@ func (c *cpaProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message) 
 func (c *cpaProc) commit(ctx sim.Context, v byte, cert *etrace.Certificate) {
 	c.decided = true
 	c.value = v
-	if c.tr.Enabled() {
-		c.tr.Commit(ctx.Round(), c.self, v, cert)
+	if c.tap.Tracing() {
+		c.tap.Commit(ctx.Round(), c.self, v, cert)
 	}
 	ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: v})
 }

@@ -15,13 +15,13 @@ type floodProc struct {
 	source  topology.NodeID
 	value   byte
 	decided bool
-	tr      *etrace.Recorder // event/certificate tap (nil = off)
+	tap     *etrace.Recorder // event/certificate tap (nil = off)
 }
 
 // newFloodFactory builds flood processes.
 func newFloodFactory(p Params) sim.ProcessFactory {
 	return func(id topology.NodeID) sim.Process {
-		return &floodProc{self: id, source: p.Source, value: p.Value, tr: p.Trace}
+		return &floodProc{self: id, source: p.Source, value: p.Value, tap: p.Tap}
 	}
 }
 
@@ -29,8 +29,8 @@ func newFloodFactory(p Params) sim.ProcessFactory {
 func (f *floodProc) Init(ctx sim.Context) {
 	if f.self == f.source {
 		f.decided = true
-		if f.tr.Enabled() {
-			f.tr.Commit(ctx.Round(), f.self, f.value,
+		if f.tap.Tracing() {
+			f.tap.Commit(ctx.Round(), f.self, f.value,
 				&etrace.Certificate{Rule: etrace.RuleSource, Value: f.value})
 		}
 		ctx.Broadcast(sim.Message{Kind: sim.KindValue, Value: f.value})
@@ -44,10 +44,10 @@ func (f *floodProc) Deliver(ctx sim.Context, from topology.NodeID, m sim.Message
 	}
 	f.decided = true
 	f.value = m.Value
-	if f.tr.Enabled() {
+	if f.tap.Tracing() {
 		// Delivery provenance: with crash-stop faults the sole commit
 		// justification is "who handed us the value".
-		f.tr.Commit(ctx.Round(), f.self, m.Value, &etrace.Certificate{
+		f.tap.Commit(ctx.Round(), f.self, m.Value, &etrace.Certificate{
 			Rule: etrace.RuleFlood, Value: m.Value,
 			Voters: []topology.NodeID{from},
 		})

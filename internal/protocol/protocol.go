@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/etrace"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -106,18 +105,14 @@ type Params struct {
 	// broadcast becomes "extremely difficult to achieve"; experiment E22
 	// demonstrates the resulting safety collapse.
 	SpoofingPossible bool
-	// Metrics optionally counts commit-rule evidence evaluations (the
-	// disjoint-path checks of BV4/BV2 — the protocols' computational hot
-	// spot). Nil disables the tap. The collector must be safe for
-	// concurrent use; processes tap it from the concurrent runtime's node
-	// goroutines.
-	Metrics *metrics.Collector
-	// Trace optionally records protocol events: evidence evaluations,
-	// spoofed attributions, and commits with their justifying
-	// certificates. Nil disables recording; processes skip certificate
-	// construction entirely then. Like Metrics, it must be safe for
-	// concurrent use.
-	Trace *etrace.Recorder
+	// Tap optionally counts commit-rule evidence evaluations (the
+	// disjoint-path checks of BV4/BV2 and Bracha's quorum checks — the
+	// protocols' computational hot spot) and, when tracing, records
+	// evidence evaluations, spoofed attributions, and commits with their
+	// justifying certificates. Processes skip certificate construction
+	// entirely on untraced runs. Nil disables it. Processes tap it from the
+	// concurrent runtime's node goroutines.
+	Tap *etrace.Recorder
 }
 
 // attributedSender resolves the identity a receiver ascribes a message to:

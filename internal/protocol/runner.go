@@ -27,8 +27,6 @@ type RunConfig struct {
 	MaxRounds int
 	// Mode selects the engine delivery mode (0 = sim.ModeFrame).
 	Mode sim.DeliveryMode
-	// Observer taps engine events (optional).
-	Observer sim.Observer
 	// Medium configures the optional unreliable-channel extension.
 	Medium sim.Medium
 	// Context optionally bounds the run by wall clock (see sim.Config).
@@ -73,7 +71,7 @@ func Run(cfg RunConfig) (Outcome, error) {
 	if err != nil && !errors.Is(err, sim.ErrDeadline) {
 		return Outcome{}, err
 	}
-	return score(cfg, res), err
+	return Score(cfg, res), err
 }
 
 // NewEngine validates the scenario and builds its engine without running it.
@@ -82,6 +80,26 @@ func Run(cfg RunConfig) (Outcome, error) {
 // fault-plan divergence points; Run is exactly NewEngine followed by
 // Engine.Run plus Score.
 func NewEngine(cfg RunConfig) (*sim.Engine, error) {
+	factory, err := cfg.Factory()
+	if err != nil {
+		return nil, err
+	}
+	return sim.NewEngine(sim.Config{
+		Net:       cfg.Params.Net,
+		Mode:      cfg.Mode,
+		Factory:   factory,
+		CrashAt:   cfg.Crash,
+		MaxRounds: cfg.MaxRounds,
+		Medium:    cfg.Medium,
+		Tap:       cfg.Params.Tap,
+		Context:   cfg.Context,
+	})
+}
+
+// Factory validates the fault assignment and composes the scenario's
+// process factory: Byzantine nodes get their strategy's process, every
+// other node the protocol's honest one. Both engines build from it.
+func (cfg RunConfig) Factory() (sim.ProcessFactory, error) {
 	honest, err := NewFactory(cfg.Kind, cfg.Params)
 	if err != nil {
 		return nil, err
@@ -94,32 +112,17 @@ func NewEngine(cfg RunConfig) (*sim.Engine, error) {
 			return nil, fmt.Errorf("protocol: the designated source must be honest")
 		}
 	}
-	factory := func(id topology.NodeID) sim.Process {
+	return func(id topology.NodeID) sim.Process {
 		if strat, ok := cfg.Byzantine[id]; ok {
 			return strat.NewProcess(id)
 		}
 		return honest(id)
-	}
-	return sim.NewEngine(sim.Config{
-		Net:       cfg.Params.Net,
-		Mode:      cfg.Mode,
-		Factory:   factory,
-		CrashAt:   cfg.Crash,
-		MaxRounds: cfg.MaxRounds,
-		Observer:  cfg.Observer,
-		Medium:    cfg.Medium,
-		Metrics:   cfg.Params.Metrics,
-		Trace:     cfg.Params.Trace,
-		Context:   cfg.Context,
-	})
+	}, nil
 }
 
-// Score tallies honest-node outcomes for an engine result obtained outside
-// Run (e.g. from a manually stepped or forked engine).
-func Score(cfg RunConfig, res sim.Result) Outcome { return score(cfg, res) }
-
-// score tallies honest-node outcomes.
-func score(cfg RunConfig, res sim.Result) Outcome {
+// Score tallies honest-node outcomes of an engine result: Run's, the
+// concurrent runtime's, or a manually stepped or forked engine's.
+func Score(cfg RunConfig, res sim.Result) Outcome {
 	out := Outcome{Result: res}
 	net := cfg.Params.Net
 	for i := 0; i < net.Size(); i++ {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/etrace"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -28,17 +27,12 @@ type Config struct {
 	// Workers caps the number of concurrently processing node goroutines;
 	// 0 means one goroutine per node (fully concurrent).
 	Workers int
-	// Metrics optionally collects totals and per-round histograms of
-	// broadcasts, deliveries and commits, mirroring the sequential
-	// engine's taps. Nil disables collection.
-	Metrics *metrics.Collector
-	// Trace optionally records per-event execution history, mirroring
-	// the sequential engine's taps. Broadcast and delivery events are
-	// recorded in the deterministic fan-out loops; protocol events
-	// (evidence, commits) arrive from node goroutines, so their
-	// within-round interleaving is scheduler-dependent. Nil disables
-	// recording.
-	Trace *etrace.Recorder
+	// Tap optionally counts and traces the run, mirroring the sequential
+	// engine's taps. Broadcast and delivery events are recorded in the
+	// deterministic fan-out loops; protocol events (evidence, commits)
+	// arrive from node goroutines, so their within-round interleaving is
+	// scheduler-dependent. Nil disables it.
+	Tap *etrace.Recorder
 	// Context optionally bounds the run by wall clock, independent of
 	// MaxRounds: cancellation is observed at round boundaries, the run
 	// stops, and the partial result is returned with an error wrapping
@@ -135,7 +129,7 @@ func Run(cfg Config) (sim.Result, error) {
 		}
 		st.ctx.round = 0
 		st.proc.Init(&st.ctx)
-		st.noteDecision(0, cfg.Metrics)
+		st.noteDecision(0, cfg.Tap)
 		pending = st.drainInto(pending, 1, crashAt) // transmits in round 1
 	}
 	sortTransmissions(pending, slotOf)
@@ -157,6 +151,7 @@ func Run(cfg Config) (sim.Result, error) {
 		done = cfg.Context.Done()
 	}
 	var deadlineErr error
+	traced := cfg.Tap.Tracing()
 
 	for round := 1; round <= maxR; round++ {
 		if done != nil {
@@ -176,10 +171,9 @@ func Run(cfg Config) (sim.Result, error) {
 		}
 		stats.Rounds = round
 		stats.Broadcasts += len(pending)
-		cfg.Metrics.AddBroadcasts(round, int64(len(pending)))
-		if cfg.Trace != nil {
+		if traced {
 			for _, tx := range pending {
-				cfg.Trace.Broadcast(round, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
+				cfg.Tap.Broadcast(round, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
 			}
 		}
 
@@ -197,8 +191,8 @@ func Run(cfg Config) (sim.Result, error) {
 				}
 				stats.Deliveries++
 				roundDeliveries++
-				if cfg.Trace != nil {
-					cfg.Trace.Delivery(round, nb, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
+				if traced {
+					cfg.Tap.Delivery(round, nb, tx.from, uint8(tx.msg.Kind), tx.msg.Value, tx.msg.Origin, tx.msg.Path)
 				}
 				states[nb].inbox = append(states[nb].inbox, tx)
 				if !activeMark.Has(nb) {
@@ -207,7 +201,7 @@ func Run(cfg Config) (sim.Result, error) {
 				}
 			}
 		}
-		cfg.Metrics.AddDeliveries(round, roundDeliveries)
+		cfg.Tap.Traffic(round, int64(len(pending)), roundDeliveries)
 
 		// Process all inboxes concurrently, in deterministic id order.
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -226,7 +220,7 @@ func Run(cfg Config) (sim.Result, error) {
 					st.proc.Deliver(&st.ctx, tx.from, tx.msg)
 				}
 				st.inbox = st.inbox[:0]
-				st.noteDecision(round, cfg.Metrics)
+				st.noteDecision(round, cfg.Tap)
 			}()
 		}
 		wg.Wait()
@@ -274,8 +268,8 @@ func (st *nodeState) drainInto(pending []transmission, txRound int, crashAt []in
 	return pending
 }
 
-// noteDecision records the first decision.
-func (st *nodeState) noteDecision(round int, mc *metrics.Collector) {
+// noteDecision records and counts the first decision.
+func (st *nodeState) noteDecision(round int, tap *etrace.Recorder) {
 	if st.decided {
 		return
 	}
@@ -283,7 +277,7 @@ func (st *nodeState) noteDecision(round int, mc *metrics.Collector) {
 		st.decided = true
 		st.value = v
 		st.decRnd = round
-		mc.AddCommit(round)
+		tap.Decision(round)
 	}
 }
 

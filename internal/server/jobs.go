@@ -167,8 +167,8 @@ func (j *batchJob) snapshot() (ProgressEvent, chan struct{}, bool) {
 // within the batch itself. The response carries the id to poll.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	if len(req.Jobs) == 0 {

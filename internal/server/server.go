@@ -267,19 +267,19 @@ func writeShed(w http.ResponseWriter, err error) {
 // peer (filled from a sibling's cache in cluster mode). In cluster mode a
 // fingerprint another member owns is forwarded there first (proxy or 307
 // per Options.Redirect) and only executed locally when the owner is
-// unreachable. Failure modes map to statuses: invalid scenario 400, all
-// execution slots taken 429 (Retry-After), job deadline exceeded 504,
-// scenario panic 500.
+// unreachable. Failure modes map to statuses: invalid scenario 400, body
+// over maxBodyBytes 413, all execution slots taken 429 (Retry-After), job
+// deadline exceeded 504, scenario panic 500.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	tr, root := obs.SpanFromContext(r.Context())
-	body, err := io.ReadAll(r.Body)
+	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+		writeBodyError(w, err)
 		return
 	}
 	var req RunRequest
 	if err := decodeStrict(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeBodyError(w, err)
 		return
 	}
 	job := rbcast.Job{Config: req.Config, Plan: req.Plan}
@@ -424,13 +424,38 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
+// maxBodyBytes caps every request body. The in-repo clients' largest
+// bodies are batch and sweep requests of some 14 KB, so the cap only stops
+// hostile or runaway input, before it is buffered.
+const maxBodyBytes = 8 << 20
+
+// readBody reads a request body of at most maxBodyBytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		return nil, fmt.Errorf("invalid request body: %w", err)
+	}
+	return data, nil
+}
+
+// writeBodyError answers a body read or decode failure: 413 when the body
+// exceeded maxBodyBytes, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
+	writeError(w, http.StatusBadRequest, err)
+}
+
 // decodeJSON strictly decodes a request body: unknown fields and trailing
 // garbage are errors, so client typos surface as 400s instead of silently
 // running a default scenario.
-func decodeJSON(r *http.Request, v any) error {
-	data, err := io.ReadAll(r.Body)
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	data, err := readBody(w, r)
 	if err != nil {
-		return fmt.Errorf("invalid request body: %w", err)
+		return err
 	}
 	return decodeStrict(data, v)
 }

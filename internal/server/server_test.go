@@ -183,6 +183,48 @@ func TestRunEndpointRejectsInvalidScenario(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap pins the request-size bound: a body of exactly
+// maxBodyBytes is read and served, one byte more is refused with 413 on
+// every body-carrying route before the handler decodes it.
+func TestRequestBodyCap(t *testing.T) {
+	srv := New(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// Valid JSON padded with trailing whitespace, which the strict decoder
+	// accepts, to an exact size.
+	padded := func(size int) []byte {
+		data, err := json.Marshal(testScenario())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(data, bytes.Repeat([]byte(" "), size-len(data))...)
+	}
+	post := func(path string, body []byte) (int, []byte) {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, got
+	}
+
+	if status, body := post("/v1/run", padded(maxBodyBytes)); status != http.StatusOK {
+		t.Fatalf("body at the cap: status %d, want 200: %s", status, body)
+	}
+	for _, path := range []string{"/v1/run", "/v1/batch", "/v1/sweep"} {
+		status, body := post(path, padded(maxBodyBytes+1))
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s one byte over the cap: status %d, want 413: %s", path, status, body)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+			t.Errorf("%s: error body %s", path, body)
+		}
+	}
+}
+
 func TestBatchEndpointRunsAndDeduplicates(t *testing.T) {
 	srv := New(Options{})
 	ts := httptest.NewServer(srv)

@@ -60,8 +60,8 @@ type SweepTrailer struct {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	tr, root := obs.SpanFromContext(r.Context())
 	var req SweepRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeBodyError(w, err)
 		return
 	}
 	spec := rbcast.SweepSpec{

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/etrace"
-	"repro/internal/metrics"
 	"repro/internal/topology"
 )
 
@@ -19,16 +18,6 @@ import (
 // a deadline (context.DeadlineExceeded) from an explicit cancellation
 // (context.Canceled) with errors.Is.
 var ErrDeadline = errors.New("run deadline exceeded")
-
-// Observer receives engine events; all callbacks are optional. Observers
-// power the figure reproductions (frontier traces, message counts) without
-// entangling the engine with experiment code.
-type Observer struct {
-	// OnBroadcast fires when `from` transmits m in round `round`.
-	OnBroadcast func(round int, from topology.NodeID, m Message)
-	// OnDecide fires the first time a node reports Decided.
-	OnDecide func(round int, node topology.NodeID, value byte)
-}
 
 // DeliveryMode selects when a queued broadcast is transmitted relative to
 // the round in which it was produced.
@@ -64,20 +53,15 @@ type Config struct {
 	CrashAt map[topology.NodeID]int
 	// MaxRounds bounds the execution; 0 means DefaultMaxRounds.
 	MaxRounds int
-	// Observer receives events (optional).
-	Observer Observer
 	// Medium configures the optional unreliable-channel extension. The
 	// zero value is the paper's ideal medium (no loss, one transmission
 	// per message).
 	Medium Medium
-	// Metrics optionally collects totals and per-round histograms of
-	// broadcasts, deliveries and commits. Nil disables collection at zero
-	// cost; the counters mirror Stats exactly.
-	Metrics *metrics.Collector
-	// Trace optionally records per-event execution history (broadcasts
-	// and deliveries from the engine; protocols add their own events
-	// through the same recorder). Nil disables recording at zero cost.
-	Trace *etrace.Recorder
+	// Tap optionally counts per-round broadcasts, deliveries and commits
+	// (mirroring Stats exactly) and, when tracing, records broadcast and
+	// delivery events; protocols tap the same recorder. Nil disables it
+	// at zero cost.
+	Tap *etrace.Recorder
 	// Context optionally bounds the run by wall clock, independent of
 	// MaxRounds: cancellation is observed at frame boundaries, the run
 	// stops, and the partial result is returned with an error wrapping
@@ -157,10 +141,8 @@ type Engine struct {
 	// crashRound[id] is the first silent round (noCrash = never).
 	crashRound []int
 	maxR       int
-	obs        Observer
 	medium     Medium
-	metrics    *metrics.Collector
-	trace      *etrace.Recorder
+	tap        *etrace.Recorder
 	rng        *rand.Rand // non-nil only for a lossy medium
 	// decided is a word-packed bitset over node ids; decidedVal/decRound
 	// are meaningful only where the bit is set.
@@ -213,10 +195,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		outbox:     make([][]Message, size),
 		crashRound: make([]int, size),
 		maxR:       maxR,
-		obs:        cfg.Observer,
 		medium:     cfg.Medium,
-		metrics:    cfg.Metrics,
-		trace:      cfg.Trace,
+		tap:        cfg.Tap,
 		decided:    topology.NewNodeSet(size),
 		decidedVal: make([]byte, size),
 		decRound:   make([]int, size),
@@ -288,7 +268,7 @@ func (e *Engine) isCrashed(id topology.NodeID, round int) bool {
 	return round >= e.crashRound[id]
 }
 
-// noteDecision records a first-time decision and fires the observer.
+// noteDecision records and counts a first-time decision.
 func (e *Engine) noteDecision(round int, id topology.NodeID) {
 	if e.decided.Has(id) {
 		return
@@ -298,10 +278,7 @@ func (e *Engine) noteDecision(round int, id topology.NodeID) {
 		e.decidedVal[id] = v
 		e.decRound[id] = round
 		e.nDecided++
-		e.metrics.AddCommit(round)
-		if e.obs.OnDecide != nil {
-			e.obs.OnDecide(round, id, v)
-		}
+		e.tap.Decision(round)
 	}
 }
 
@@ -310,6 +287,7 @@ func (e *Engine) Step() bool {
 	e.stats.Rounds++
 	round := e.stats.Rounds
 	progress := false
+	traced := e.tap.Tracing()
 	var roundBroadcasts, roundDeliveries int64
 	if e.mode == ModeNextRound {
 		// Lock-step: freeze all outboxes before any delivery so broadcasts
@@ -337,11 +315,8 @@ func (e *Engine) Step() bool {
 				progress = true
 				e.stats.Broadcasts += e.medium.Retransmit
 				roundBroadcasts += int64(e.medium.Retransmit)
-				if e.obs.OnBroadcast != nil {
-					e.obs.OnBroadcast(round, from, m)
-				}
-				if e.trace != nil {
-					e.trace.Broadcast(round, from, uint8(m.Kind), m.Value, m.Origin, m.Path)
+				if traced {
+					e.tap.Broadcast(round, from, uint8(m.Kind), m.Value, m.Origin, m.Path)
 				}
 				for _, nb := range e.net.Neighbors(from) {
 					if e.isCrashed(nb, round) {
@@ -355,10 +330,10 @@ func (e *Engine) Step() bool {
 					}
 					e.stats.Deliveries++
 					roundDeliveries++
-					if e.trace != nil {
+					if traced {
 						// Before Deliver, so a commit event triggered by
 						// this message follows its delivery in the record.
-						e.trace.Delivery(round, nb, from, uint8(m.Kind), m.Value, m.Origin, m.Path)
+						e.tap.Delivery(round, nb, from, uint8(m.Kind), m.Value, m.Origin, m.Path)
 					}
 					e.ctx.id, e.ctx.round = nb, round
 					e.procs[nb].Deliver(&e.ctx, from, m)
@@ -368,8 +343,7 @@ func (e *Engine) Step() bool {
 		}
 		e.free = append(e.free, out[:0]) // recycle the drained buffer
 	}
-	e.metrics.AddBroadcasts(round, roundBroadcasts)
-	e.metrics.AddDeliveries(round, roundDeliveries)
+	e.tap.Traffic(round, roundBroadcasts, roundDeliveries)
 	return progress
 }
 

@@ -217,26 +217,6 @@ func (b *babbler) Deliver(ctx Context, _ topology.NodeID, _ Message) {
 }
 func (b *babbler) Decided() (byte, bool) { return 0, false }
 
-func TestObserverSeesEvents(t *testing.T) {
-	net := testNet(t, 9, 9, 1)
-	source := net.IDOf(grid.C(0, 0))
-	var broadcasts, decides int
-	obs := Observer{
-		OnBroadcast: func(round int, from topology.NodeID, m Message) { broadcasts++ },
-		OnDecide:    func(round int, node topology.NodeID, v byte) { decides++ },
-	}
-	res, err := Run(Config{Net: net, Factory: floodFactory(net, source, 1), Observer: obs})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if broadcasts != res.Stats.Broadcasts {
-		t.Errorf("observer saw %d broadcasts, stats say %d", broadcasts, res.Stats.Broadcasts)
-	}
-	if decides != len(res.Decided) {
-		t.Errorf("observer saw %d decisions, result has %d", decides, len(res.Decided))
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	net := testNet(t, 10, 10, 2)
 	source := net.IDOf(grid.C(0, 0))

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/metrics"
+	"repro/internal/etrace"
 	"repro/internal/topology"
 )
 
@@ -18,15 +18,12 @@ type CloneableProcess interface {
 }
 
 // Forkable reports whether the engine supports Fork: a deterministic,
-// side-effect-free configuration (no observer callbacks, no trace recorder,
-// ideal medium — a lossy medium consumes shared rng state) whose processes
-// are all cloneable. Callers gate sweep prefix-sharing on this; anything
-// non-forkable simply runs scalar.
+// side-effect-free configuration (no event tracing, ideal medium — a lossy
+// medium consumes shared rng state) whose processes are all cloneable.
+// Callers gate sweep prefix-sharing on this; anything non-forkable simply
+// runs scalar.
 func (e *Engine) Forkable() bool {
-	if e.rng != nil || e.trace != nil {
-		return false
-	}
-	if e.obs.OnBroadcast != nil || e.obs.OnDecide != nil {
+	if e.rng != nil || e.tap.Tracing() {
 		return false
 	}
 	for _, p := range e.procs {
@@ -38,11 +35,11 @@ func (e *Engine) Forkable() bool {
 }
 
 // Fork duplicates the engine's execution state at the current frame
-// boundary, applying a new crash schedule and metrics collector to the
-// branch. The fork shares only immutable structure with its parent (network,
-// schedule, slot order, queued Message values); all mutable state — process
-// state machines, outbox queues, decision tracking, stats — is deep-copied,
-// so parent and fork can each continue running independently and
+// boundary, applying a new crash schedule and tap to the branch. The fork
+// shares only immutable structure with its parent (network, schedule, slot
+// order, queued Message values); all mutable state — process state
+// machines, outbox queues, decision tracking, stats — is deep-copied, so
+// parent and fork can each continue running independently and
 // deterministically.
 //
 // Fork must be called between frames (never from inside Step) and requires
@@ -51,7 +48,7 @@ func (e *Engine) Forkable() bool {
 // branch's prefix would no longer match a from-scratch run. Fork validates
 // that crashAt only changes behaviour at rounds strictly after the current
 // one and rejects rewrites of history.
-func (e *Engine) Fork(crashAt map[topology.NodeID]int, collector *metrics.Collector) (*Engine, error) {
+func (e *Engine) Fork(crashAt map[topology.NodeID]int, tap *etrace.Recorder) (*Engine, error) {
 	if !e.Forkable() {
 		return nil, fmt.Errorf("sim: engine is not forkable")
 	}
@@ -67,7 +64,7 @@ func (e *Engine) Fork(crashAt map[topology.NodeID]int, collector *metrics.Collec
 		crashRound: make([]int, size),
 		maxR:       e.maxR,
 		medium:     e.medium,
-		metrics:    collector,
+		tap:        tap,
 		decided:    e.decided.Clone(),
 		decidedVal: append([]byte(nil), e.decidedVal...),
 		decRound:   append([]int(nil), e.decRound...),

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bounds"
 	"repro/internal/etrace"
 	"repro/internal/grid"
-	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/runtime"
 	"repro/internal/sim"
@@ -256,37 +255,31 @@ func RunContext(ctx context.Context, cfg Config, plan FaultPlan) (Result, error)
 		return Result{}, err
 	}
 	net, faulty := pr.net, pr.faulty
-	collector := metrics.New()
-	var rec *etrace.Recorder
-	if cfg.Trace {
-		rec = etrace.New()
-		// Crash events come from the fault plan, not the engines: record
-		// them up front, in id order, so every trace opens with the
-		// adversary's schedule.
-		for _, id := range faulty.faulty {
-			if round, crashed := faulty.crash[id]; crashed {
-				rec.Crash(round, id)
-			}
+	tap := etrace.New(cfg.Trace)
+	// Crash events come from the fault plan, not the engines: record them
+	// up front, in id order, so every trace opens with the adversary's
+	// schedule.
+	for _, id := range faulty.faulty {
+		if round, crashed := faulty.crash[id]; crashed {
+			tap.Crash(round, id)
 		}
 	}
-	params := pr.params(collector, rec)
+	rc := pr.runConfig(tap, ctx)
 
 	start := time.Now()
 	var out protocol.Outcome
 	if cfg.Concurrent {
-		out, err = runConcurrent(ctx, pr.kind, params, faulty, cfg.MaxRounds)
+		out, err = runConcurrent(rc)
 	} else {
-		out, err = protocol.Run(pr.runConfig(params, ctx))
+		out, err = protocol.Run(rc)
 	}
 	if err != nil && !errors.Is(err, sim.ErrDeadline) {
 		return Result{}, err
 	}
-	collector.ObserveWall(time.Since(start))
+	wall := time.Since(start)
 	res := newResult(net, out, faulty)
-	res.Metrics = newMetrics(collector.Snapshot())
-	if rec != nil {
-		res.Trace = newTraceEvents(net, rec.Events())
-	}
+	res.Metrics = newMetrics(tap, wall)
+	res.Trace = newTraceEvents(net, tap.Events())
 	if err != nil {
 		// The partial result travels with the typed deadline error; the
 		// chain keeps the engine's round count and the context cause.
@@ -356,30 +349,24 @@ func prepare(cfg Config, plan FaultPlan) (prepared, error) {
 	}, nil
 }
 
-// params assembles the protocol parameters around a run's own collector and
-// recorder (these are per-execution, unlike the scenario itself).
-func (p prepared) params(collector *metrics.Collector, rec *etrace.Recorder) protocol.Params {
-	return protocol.Params{
-		Net:              p.net,
-		Source:           p.source,
-		Value:            p.cfg.Value,
-		T:                p.cfg.T,
-		Mode:             p.mode,
-		SpoofingPossible: p.cfg.SpoofingPossible,
-		Metrics:          collector,
-		Trace:            rec,
-	}
-}
-
-// runConfig assembles the sequential-engine run configuration.
-func (p prepared) runConfig(params protocol.Params, ctx context.Context) protocol.RunConfig {
+// runConfig assembles the run configuration around the run's own tap (the
+// tap is per-execution, unlike the scenario itself).
+func (p prepared) runConfig(tap *etrace.Recorder, ctx context.Context) protocol.RunConfig {
 	mode := sim.ModeFrame
 	if p.cfg.LockStep {
 		mode = sim.ModeNextRound
 	}
 	return protocol.RunConfig{
-		Kind:      p.kind,
-		Params:    params,
+		Kind: p.kind,
+		Params: protocol.Params{
+			Net:              p.net,
+			Source:           p.source,
+			Value:            p.cfg.Value,
+			T:                p.cfg.T,
+			Mode:             p.mode,
+			SpoofingPossible: p.cfg.SpoofingPossible,
+			Tap:              tap,
+		},
 		Byzantine: p.faulty.byzantine,
 		Crash:     p.faulty.crash,
 		MaxRounds: p.cfg.MaxRounds,
@@ -390,50 +377,23 @@ func (p prepared) runConfig(params protocol.Params, ctx context.Context) protoco
 }
 
 // runConcurrent executes on the goroutine-per-node engine.
-func runConcurrent(ctx context.Context, kind protocol.Kind, params protocol.Params, faulty materialized, maxRounds int) (protocol.Outcome, error) {
-	honest, err := protocol.NewFactory(kind, params)
+func runConcurrent(rc protocol.RunConfig) (protocol.Outcome, error) {
+	factory, err := rc.Factory()
 	if err != nil {
 		return protocol.Outcome{}, err
 	}
-	factory := func(id topology.NodeID) sim.Process {
-		if strat, ok := faulty.byzantine[id]; ok {
-			return strat.NewProcess(id)
-		}
-		return honest(id)
-	}
 	res, err := runtime.Run(runtime.Config{
-		Net:       params.Net,
+		Net:       rc.Params.Net,
 		Factory:   factory,
-		CrashAt:   faulty.crash,
-		MaxRounds: maxRounds,
-		Metrics:   params.Metrics,
-		Trace:     params.Trace,
-		Context:   ctx,
+		CrashAt:   rc.Crash,
+		MaxRounds: rc.MaxRounds,
+		Tap:       rc.Params.Tap,
+		Context:   rc.Context,
 	})
 	if err != nil && !errors.Is(err, sim.ErrDeadline) {
 		return protocol.Outcome{}, err
 	}
-	out := protocol.Outcome{Result: res}
-	for i := 0; i < params.Net.Size(); i++ {
-		id := topology.NodeID(i)
-		if _, byz := faulty.byzantine[id]; byz {
-			continue
-		}
-		if _, crashed := faulty.crash[id]; crashed {
-			continue
-		}
-		out.Honest++
-		v, ok := res.Decided[id]
-		switch {
-		case !ok:
-			out.Undecided++
-		case v == params.Value:
-			out.Correct++
-		default:
-			out.Wrong++
-		}
-	}
-	return out, err
+	return protocol.Score(rc, res), err
 }
 
 // Threshold re-exports: the closed-form fault-tolerance bounds of the paper

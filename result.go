@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/etrace"
 	"repro/internal/grid"
-	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/topology"
 )
@@ -112,16 +112,17 @@ func (m Metrics) CommitRounds() map[int]int {
 	return out
 }
 
-// newMetrics converts an internal collector snapshot.
-func newMetrics(s metrics.Snapshot) Metrics {
+// newMetrics converts a run's tap counters; the caller measures wall.
+func newMetrics(tap *etrace.Recorder, wall time.Duration) Metrics {
+	rows, total := tap.Counts()
 	m := Metrics{
-		EvidenceEvals: int(s.EvidenceEvals),
-		Commits:       int(s.Commits),
-		Wall:          s.Wall,
+		EvidenceEvals: int(total.EvidenceEvals),
+		Commits:       int(total.Commits),
+		Wall:          wall,
 	}
-	if len(s.PerRound) > 0 {
-		m.PerRound = make([]RoundMetrics, len(s.PerRound))
-		for i, rc := range s.PerRound {
+	if len(rows) > 0 {
+		m.PerRound = make([]RoundMetrics, len(rows))
+		for i, rc := range rows {
 			m.PerRound[i] = RoundMetrics{
 				Broadcasts:    int(rc.Broadcasts),
 				Deliveries:    int(rc.Deliveries),

@@ -7,7 +7,7 @@ import (
 	"runtime/debug"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/etrace"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/protocol"
@@ -355,8 +355,8 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		}
 		return
 	}
-	collector := metrics.New()
-	eng, err := protocol.NewEngine(pr.runConfig(pr.params(collector, nil), ctx))
+	tap := etrace.New(false)
+	eng, err := protocol.NewEngine(pr.runConfig(tap, ctx))
 	if err == nil && !eng.Forkable() {
 		err = errors.New("rbcast: internal: fork family engine not forkable")
 	}
@@ -377,10 +377,10 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 	size := int64(pr.net.Size())
 	// finish assembles one group's public Result from an engine outcome and
 	// fans it out to the group's elements.
-	finish := func(g *sweepGroup, gpr prepared, c *metrics.Collector, out protocol.Outcome, runErr error) {
-		c.ObserveWall(time.Since(start))
+	finish := func(g *sweepGroup, gpr prepared, tap *etrace.Recorder, out protocol.Outcome, runErr error) {
+		wall := time.Since(start)
 		res := newResult(gpr.net, out, gpr.faulty)
-		res.Metrics = newMetrics(c.Snapshot())
+		res.Metrics = newMetrics(tap, wall)
 		if runErr != nil {
 			runErr = fmt.Errorf("%w: %w", ErrDeadline, runErr)
 		}
@@ -410,8 +410,8 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 					}
 					continue
 				}
-				out := protocol.Score(remPr.runConfig(remPr.params(nil, nil), ctx), trunkRes)
-				finish(rem, remPr, collector.Clone(), out, runErr)
+				out := protocol.Score(remPr.runConfig(nil, ctx), trunkRes)
+				finish(rem, remPr, tap.Clone(), out, runErr)
 				st.ScalarNodeRounds += rounds * size * int64(len(rem.indices))
 				if ri > 0 {
 					st.SharedResults++ // the group's execution itself came from the trunk
@@ -427,10 +427,10 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 			}
 			continue
 		}
-		fc := collector.Clone()
+		ftap := tap.Clone()
 		fsp := tr.Start(unitSp, "fork")
 		tr.AnnotateInt(fsp, "crash_round", int64(g.crash))
-		feng, ferr := eng.Fork(fpr.faulty.crash, fc)
+		feng, ferr := eng.Fork(fpr.faulty.crash, ftap)
 		if ferr != nil {
 			tr.End(fsp)
 			for _, i := range g.indices {
@@ -441,8 +441,8 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		fres, frunErr := feng.Run()
 		tr.AnnotateInt(fsp, "rounds", int64(fres.Stats.Rounds))
 		tr.End(fsp)
-		out := protocol.Score(fpr.runConfig(fpr.params(nil, nil), ctx), fres)
-		finish(g, fpr, fc, out, frunErr)
+		out := protocol.Score(fpr.runConfig(nil, ctx), fres)
+		finish(g, fpr, ftap, out, frunErr)
 		st.Simulations++
 		st.Forks++
 		rounds := int64(fres.Stats.Rounds)
@@ -452,8 +452,8 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 	}
 	// The trunk runs to completion last.
 	tres, trunErr := eng.Run()
-	out := protocol.Score(pr.runConfig(pr.params(nil, nil), ctx), tres)
-	finish(trunk, pr, collector, out, trunErr)
+	out := protocol.Score(pr.runConfig(nil, ctx), tres)
+	finish(trunk, pr, tap, out, trunErr)
 	st.Simulations++
 	rounds := int64(tres.Stats.Rounds)
 	st.NodeRounds += rounds * size

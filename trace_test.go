@@ -279,3 +279,75 @@ func TestTraceEngineEquivalence(t *testing.T) {
 		t.Errorf("commit sets differ between engines: %d sequential vs %d concurrent", len(a), len(b))
 	}
 }
+
+// TestTracingLeavesCountersUnchanged: arming the tap's event recording must
+// not change what it counts or anything else in the Result. Every protocol
+// runs on every topology family it supports, on both engines, traced and
+// untraced; the Results must agree apart from Trace and Metrics.Wall.
+func TestTracingLeavesCountersUnchanged(t *testing.T) {
+	torus := func(w, h, r int) Config { return Config{Width: w, Height: h, Radius: r, Value: 1} }
+	rgg := Config{Topology: TopologyRGG, Nodes: 64, RGGRadius: 0.22, TopologySeed: 1, Value: 1}
+	var edges [][2]int
+	for i := 0; i < 10; i++ {
+		for d := 1; d <= 3; d++ {
+			edges = append(edges, [2]int{i, (i + d) % 10})
+		}
+	}
+	custom := Config{Topology: TopologyCustom, Graph: &GraphSpec{Nodes: 10, Edges: edges}, Value: 1}
+	crash := FaultPlan{Placement: PlaceRandomBounded, Strategy: StrategyCrash, CrashRound: 2, Count: 2, Seed: 5}
+	band := func(s Strategy) FaultPlan { return FaultPlan{Placement: PlaceGreedyBand, Strategy: s, CrashRound: 2} }
+	random := func(s Strategy, count int) FaultPlan {
+		return FaultPlan{Placement: PlaceRandomBounded, Strategy: s, Count: count, Seed: 9}
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		p    Protocol
+		t    int
+		plan FaultPlan
+	}{
+		{"torus/flood", torus(16, 10, 1), ProtocolFlood, 2, band(StrategyCrash)},
+		{"torus/cpa", torus(24, 14, 2), ProtocolCPA, 2, band(StrategyLiar)},
+		{"torus/bv4", torus(16, 10, 1), ProtocolBV4, 1, band(StrategyForger)},
+		{"torus/bv2", torus(16, 10, 1), ProtocolBV2, 1, band(StrategyLiar)},
+		{"torus/bracha", torus(5, 5, 2), ProtocolBracha, 8, random(StrategyEquivocator, 6)},
+		{"torus/bracha-auth", torus(5, 5, 2), ProtocolBrachaAuth, 8, random(StrategyEquivocator, 6)},
+		{"rgg/flood", rgg, ProtocolFlood, 1, crash},
+		{"rgg/cpa", rgg, ProtocolCPA, 1, random(StrategyLiar, 1)},
+		{"rgg/bracha", rgg, ProtocolBracha, 4, random(StrategyEquivocator, 4)},
+		{"rgg/bracha-auth", rgg, ProtocolBrachaAuth, 4, random(StrategyEquivocator, 4)},
+		{"custom/flood", custom, ProtocolFlood, 1, crash},
+		{"custom/cpa", custom, ProtocolCPA, 1, random(StrategyLiar, 1)},
+		{"custom/bracha", custom, ProtocolBracha, 2, random(StrategyEquivocator, 2)},
+		{"custom/bracha-auth", custom, ProtocolBrachaAuth, 2, random(StrategyEquivocator, 2)},
+	}
+	for _, tc := range cases {
+		for _, concurrent := range []bool{false, true} {
+			cfg := tc.cfg
+			cfg.Protocol, cfg.T, cfg.Concurrent = tc.p, tc.t, concurrent
+			name := tc.name + "/sequential"
+			if concurrent {
+				name = tc.name + "/concurrent"
+			}
+			t.Run(name, func(t *testing.T) {
+				untraced, err := Run(cfg, tc.plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Trace = true
+				traced, err := Run(cfg, tc.plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(traced.Trace) == 0 || len(untraced.Metrics.PerRound) == 0 {
+					t.Fatalf("degenerate probe: %d events, %d rounds", len(traced.Trace), len(untraced.Metrics.PerRound))
+				}
+				traced.Trace = nil
+				traced.Metrics.Wall, untraced.Metrics.Wall = 0, 0
+				if !reflect.DeepEqual(traced, untraced) {
+					t.Errorf("tracing changed the Result:\n traced   %+v\n untraced %+v", traced.Metrics, untraced.Metrics)
+				}
+			})
+		}
+	}
+}
