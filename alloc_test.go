@@ -1,6 +1,7 @@
 package rbcast_test
 
 import (
+	"encoding/json"
 	"testing"
 
 	rbcast "repro"
@@ -40,5 +41,39 @@ func TestBV4DesignatedAllocs(t *testing.T) {
 	})
 	if avg > maxAllocs {
 		t.Errorf("bv4/at/16x10r1 allocated %.0f times per run, budget %d — per-node evidence state regressed", avg, maxAllocs)
+	}
+}
+
+// TestResultJSONAllocs guards the Result JSON codec's allocation budget on
+// the 64×64 r2 flood Result (4096 decisions). Reflection allocated per
+// node: about 16,400 times per encode and 8,300 per decode
+// (BenchmarkResultJSONEncode/Decode before Result had its own codec). The
+// hand-written codec measures 5 and 25, its buffers and the presized map;
+// the bounds leave room for runtime changes but trip on any per-node
+// allocation.
+func TestResultJSONAllocs(t *testing.T) {
+	res, err := rbcast.Run(rbcast.Config{Width: 64, Height: 64, Radius: 2, Protocol: rbcast.ProtocolFlood, Value: 1}, rbcast.FaultPlan{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxEncode, maxDecode = 20, 100
+	if avg := testing.AllocsPerRun(5, func() {
+		if _, err := json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > maxEncode {
+		t.Errorf("encoding the 64×64 Result allocated %.0f times, budget %d", avg, maxEncode)
+	}
+	if avg := testing.AllocsPerRun(5, func() {
+		var back rbcast.Result
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > maxDecode {
+		t.Errorf("decoding the 64×64 Result allocated %.0f times, budget %d", avg, maxDecode)
 	}
 }

@@ -7,6 +7,7 @@ package rbcast_test
 //
 //	go test -bench=. -benchmem
 import (
+	"encoding/json"
 	"testing"
 
 	rbcast "repro"
@@ -147,5 +148,67 @@ func BenchmarkBV2Threshold(b *testing.B) {
 		if !res.AllCorrect() {
 			b.Fatal("BV2 failed at its threshold")
 		}
+	}
+}
+
+// codecResults are the Results the JSON codec benchmarks encode and
+// decode: the 64×64 r2 flood Result (4096 decisions, about 144 KB of
+// JSON), the largest the served workloads return, and bv4/at/16x10r1.
+func codecResults(b *testing.B) map[string]rbcast.Result {
+	b.Helper()
+	flood, err := rbcast.Run(rbcast.Config{Width: 64, Height: 64, Radius: 2, Protocol: rbcast.ProtocolFlood, Value: 1}, rbcast.FaultPlan{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bv4, err := rbcast.Run(rbcast.Config{Width: 16, Height: 10, Radius: 1, Protocol: rbcast.ProtocolBV4, T: rbcast.MaxByzantineLinf(1), Value: 1},
+		rbcast.FaultPlan{Placement: rbcast.PlaceGreedyBand, Strategy: rbcast.StrategyForger})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return map[string]rbcast.Result{"flood64x64r2": flood, "bv4-at-16x10r1": bv4}
+}
+
+// BenchmarkResultJSONEncode measures json.Marshal of a Result, the
+// encode step of every served result.
+func BenchmarkResultJSONEncode(b *testing.B) {
+	results := codecResults(b)
+	for _, name := range []string{"flood64x64r2", "bv4-at-16x10r1"} {
+		res := results[name]
+		b.Run(name, func(b *testing.B) {
+			data, err := json.Marshal(res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := json.Marshal(res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkResultJSONDecode measures json.Unmarshal into a fresh Result,
+// what a client does with every served result.
+func BenchmarkResultJSONDecode(b *testing.B) {
+	results := codecResults(b)
+	for _, name := range []string{"flood64x64r2", "bv4-at-16x10r1"} {
+		res := results[name]
+		b.Run(name, func(b *testing.B) {
+			data, err := json.Marshal(res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var back rbcast.Result
+				if err := json.Unmarshal(data, &back); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -18,14 +18,18 @@ package rbcast
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // MarshalText encodes the protocol name ("flood", "cpa", "bv4", "bv2",
@@ -283,7 +287,13 @@ func enumText(kind string, raw int, name string) ([]byte, error) {
 // MarshalText encodes the node as "x,y", which also makes Node usable as a
 // JSON map key (Result.Decisions).
 func (n Node) MarshalText() ([]byte, error) {
-	return []byte(strconv.Itoa(n.X) + "," + strconv.Itoa(n.Y)), nil
+	return appendNodeText(make([]byte, 0, 24), n), nil
+}
+
+// appendNodeText appends the "x,y" form.
+func appendNodeText(b []byte, n Node) []byte {
+	b = strconv.AppendInt(b, int64(n.X), 10)
+	return strconv.AppendInt(append(b, ','), int64(n.Y), 10)
 }
 
 // UnmarshalText decodes the "x,y" form.
@@ -300,6 +310,489 @@ func (n *Node) UnmarshalText(text []byte) error {
 	}
 	n.X, n.Y = x, y
 	return nil
+}
+
+// plainResult is Result without its JSON methods. encoding/json encodes
+// and decodes it by reflection: it is the reference MarshalJSON matches
+// byte for byte, and UnmarshalJSON's fallback for every input its fast
+// path does not take.
+type plainResult Result
+
+// MarshalJSON encodes r to exactly the bytes encoding/json produces for
+// the Result struct (field order, omitempty rules, Metrics always present)
+// without reflection. Decisions keys render as "x,y" and sort bytewise, as
+// encoding/json sorts a TextMarshaler-keyed map. Trace, which only traced
+// runs carry, is encoded by encoding/json.
+func (r Result) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 256+48*len(r.Decisions)+16*len(r.Faulty)+64*len(r.Metrics.PerRound))
+	b = append(b, '{')
+	b = appendIntField(b, `"honest":`, int64(r.Honest))
+	b = appendIntField(b, `"correct":`, int64(r.Correct))
+	b = appendIntField(b, `"wrong":`, int64(r.Wrong))
+	b = appendIntField(b, `"undecided":`, int64(r.Undecided))
+	b = appendIntField(b, `"faults":`, int64(r.Faults))
+	b = appendIntField(b, `"max_faults_per_nbd":`, int64(r.MaxFaultsPerNbd))
+	b = appendIntField(b, `"rounds":`, int64(r.Rounds))
+	b = appendIntField(b, `"broadcasts":`, int64(r.Broadcasts))
+	b = appendIntField(b, `"deliveries":`, int64(r.Deliveries))
+	b = appendTrueField(b, `"quiesced":`, r.Quiesced)
+	if len(r.Decisions) > 0 {
+		b = appendDecisions(appendKey(b, `"decisions":`), r.Decisions)
+	}
+	if len(r.Faulty) > 0 {
+		b = appendKey(b, `"faulty":`)
+		for i, n := range r.Faulty {
+			if i == 0 {
+				b = append(b, '[')
+			} else {
+				b = append(b, ',')
+			}
+			b = appendNode(b, n)
+		}
+		b = append(b, ']')
+	}
+	m := r.Metrics
+	b = append(appendKey(b, `"metrics":`), '{')
+	b = appendIntField(b, `"evidence_evals":`, int64(m.EvidenceEvals))
+	b = appendIntField(b, `"commits":`, int64(m.Commits))
+	if len(m.PerRound) > 0 {
+		b = appendKey(b, `"per_round":`)
+		for i, rc := range m.PerRound {
+			if i == 0 {
+				b = append(b, '[', '{')
+			} else {
+				b = append(b, ',', '{')
+			}
+			b = appendIntField(b, `"broadcasts":`, int64(rc.Broadcasts))
+			b = appendIntField(b, `"deliveries":`, int64(rc.Deliveries))
+			b = appendIntField(b, `"evidence_evals":`, int64(rc.EvidenceEvals))
+			b = appendIntField(b, `"commits":`, int64(rc.Commits))
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = appendIntField(b, `"wall_ns":`, int64(m.Wall))
+	b = append(b, '}')
+	if len(r.Trace) > 0 {
+		trace, err := json.Marshal(r.Trace)
+		if err != nil {
+			return nil, err
+		}
+		b = append(appendKey(b, `"trace":`), trace...)
+	}
+	return append(b, '}'), nil
+}
+
+// appendKey appends a quoted key and its colon, preceded by a comma unless
+// it opens its object.
+func appendKey(b []byte, key string) []byte {
+	if b[len(b)-1] != '{' {
+		b = append(b, ',')
+	}
+	return append(b, key...)
+}
+
+// appendIntField appends an omitempty integer field.
+func appendIntField(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(appendKey(b, key), v, 10)
+}
+
+// appendTrueField appends an omitempty boolean field.
+func appendTrueField(b []byte, key string, v bool) []byte {
+	if !v {
+		return b
+	}
+	return append(appendKey(b, key), "true"...)
+}
+
+// appendNode appends n's text form as a JSON string.
+func appendNode(b []byte, n Node) []byte {
+	return append(appendNodeText(append(b, '"'), n), '"')
+}
+
+// appendDecisions appends the Decisions object with its "x,y" keys in
+// bytewise order.
+func appendDecisions(b []byte, decisions map[Node]Decision) []byte {
+	b = append(b, '{')
+	for _, n := range sortedNodes(decisions) {
+		if b[len(b)-1] != '{' {
+			b = append(b, ',')
+		}
+		d := decisions[n]
+		b = append(appendNode(b, n), ':', '{')
+		b = appendIntField(b, `"value":`, int64(d.Value))
+		b = appendTrueField(b, `"decided":`, d.Decided)
+		b = appendIntField(b, `"round":`, int64(d.Round))
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// sortedNodes returns the Decisions keys in the bytewise order of their
+// "x,y" text. That is the text order of X, then of Y: the comma after X
+// sorts before any digit, so an X that is a prefix of another sorts first,
+// as it does alone. Coordinates of up to 8 digits pack into one integer
+// per node that sorts in that order; wider ones, which no topology small
+// enough to simulate has, compare as text.
+func sortedNodes(decisions map[Node]Decision) []Node {
+	nodes := make([]Node, 0, len(decisions))
+	keys := make([]uint64, 0, len(decisions))
+	for n := range decisions {
+		nodes = append(nodes, n)
+		x, okX := packDecimal(n.X)
+		y, okY := packDecimal(n.Y)
+		if okX && okY {
+			keys = append(keys, x<<31|y)
+		}
+	}
+	if len(keys) < len(nodes) {
+		// A coordinate too wide to pack: compare the text itself.
+		slices.SortFunc(nodes, func(a, b Node) int {
+			return bytes.Compare(appendNodeText(nil, a), appendNodeText(nil, b))
+		})
+		return nodes
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		nodes[i] = Node{X: unpackDecimal(k >> 31), Y: unpackDecimal(k & (1<<31 - 1))}
+	}
+	return nodes
+}
+
+// pow10 holds 10^0 through 10^8.
+var pow10 = [...]uint64{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
+
+// packDecimal encodes v, if it has at most 8 digits, in 31 bits that
+// order as strconv.Itoa(v) orders bytewise. The top bit is the sign ('-'
+// sorts before every digit). Below it the magnitude, scaled to 8 digits
+// (under 2^27), compares the digit strings left-aligned, and the digit
+// count less one, in the low 3 bits, puts a prefix first.
+func packDecimal(v int) (uint64, bool) {
+	mag, sign := uint64(v), uint64(1)
+	if v < 0 {
+		mag, sign = -mag, 0
+	}
+	if mag >= pow10[8] {
+		return 0, false
+	}
+	digits := 1
+	for digits < 8 && mag >= pow10[digits] {
+		digits++
+	}
+	return sign<<30 | mag*pow10[8-digits]<<3 | uint64(digits-1), true
+}
+
+// unpackDecimal inverts packDecimal.
+func unpackDecimal(k uint64) int {
+	digits := k&7 + 1
+	mag := int(((k >> 3) & (1<<27 - 1)) / pow10[8-digits])
+	if k>>30 == 0 {
+		return -mag
+	}
+	return mag
+}
+
+// UnmarshalJSON decodes the shape MarshalJSON emits with a strict,
+// reflection-free parser: any whitespace and key order, plain integers,
+// true and false. Every other input (unknown or case-variant keys,
+// escapes, floats, null, out-of-range numbers, a trace) goes to
+// encoding/json on the same bytes, so what is accepted, the errors, and
+// the merge into a non-zero receiver are encoding/json's.
+func (r *Result) UnmarshalJSON(data []byte) error {
+	saved := *r
+	d := resultDecoder{data: data}
+	if d.result(r) {
+		return nil
+	}
+	*r = saved
+	return json.Unmarshal(data, (*plainResult)(r))
+}
+
+// resultDecoder is UnmarshalJSON's fast path over data. Each method
+// reports false on the first byte it does not expect. Scalars it decodes
+// in place, as encoding/json does, which merges into a non-zero receiver
+// alike. encoding/json also decodes into a map or slice that is already
+// non-nil, the receiver's or one an earlier repeat of the key built; the
+// fast path only builds fresh ones, so it reports false for those.
+type resultDecoder struct {
+	data []byte
+	pos  int
+}
+
+func (d *resultDecoder) result(r *Result) bool {
+	ok := d.object(func(key []byte) bool { return d.resultField(r, key) })
+	d.skipSpace()
+	return ok && d.pos == len(d.data)
+}
+
+func (d *resultDecoder) resultField(r *Result, key []byte) bool {
+	switch string(key) {
+	case "honest":
+		return d.int(&r.Honest)
+	case "correct":
+		return d.int(&r.Correct)
+	case "wrong":
+		return d.int(&r.Wrong)
+	case "undecided":
+		return d.int(&r.Undecided)
+	case "faults":
+		return d.int(&r.Faults)
+	case "max_faults_per_nbd":
+		return d.int(&r.MaxFaultsPerNbd)
+	case "rounds":
+		return d.int(&r.Rounds)
+	case "broadcasts":
+		return d.int(&r.Broadcasts)
+	case "deliveries":
+		return d.int(&r.Deliveries)
+	case "quiesced":
+		return d.bool(&r.Quiesced)
+	case "decisions":
+		if r.Decisions != nil {
+			return false
+		}
+		// Every node has a decision, so Honest+Faults (when they came
+		// first, as MarshalJSON puts them) sizes the map; each entry
+		// takes at least 8 bytes, which bounds the hint by the input.
+		hint := min(r.Honest+r.Faults, (len(d.data)-d.pos)/8)
+		r.Decisions = make(map[Node]Decision, max(hint, 0))
+		return d.object(func(key []byte) bool {
+			n, ok := parseNode(key)
+			var dec Decision
+			if !ok || !d.object(func(key []byte) bool { return d.decisionField(&dec, key) }) {
+				return false
+			}
+			r.Decisions[n] = dec
+			return true
+		})
+	case "faulty":
+		if r.Faulty != nil {
+			return false
+		}
+		r.Faulty = []Node{}
+		return d.array(func() bool {
+			s, ok := d.string()
+			n, ok2 := parseNode(s)
+			r.Faulty = append(r.Faulty, n)
+			return ok && ok2
+		})
+	case "metrics":
+		return d.object(func(key []byte) bool { return d.metricsField(&r.Metrics, key) })
+	}
+	return false
+}
+
+func (d *resultDecoder) decisionField(dec *Decision, key []byte) bool {
+	switch string(key) {
+	case "value":
+		v, ok := d.number(0, 255)
+		dec.Value = byte(v)
+		return ok
+	case "decided":
+		return d.bool(&dec.Decided)
+	case "round":
+		return d.int(&dec.Round)
+	}
+	return false
+}
+
+func (d *resultDecoder) metricsField(m *Metrics, key []byte) bool {
+	switch string(key) {
+	case "evidence_evals":
+		return d.int(&m.EvidenceEvals)
+	case "commits":
+		return d.int(&m.Commits)
+	case "per_round":
+		if m.PerRound != nil {
+			return false
+		}
+		m.PerRound = []RoundMetrics{}
+		return d.array(func() bool {
+			var rc RoundMetrics
+			ok := d.object(func(key []byte) bool {
+				switch string(key) {
+				case "broadcasts":
+					return d.int(&rc.Broadcasts)
+				case "deliveries":
+					return d.int(&rc.Deliveries)
+				case "evidence_evals":
+					return d.int(&rc.EvidenceEvals)
+				case "commits":
+					return d.int(&rc.Commits)
+				}
+				return false
+			})
+			m.PerRound = append(m.PerRound, rc)
+			return ok
+		})
+	case "wall_ns":
+		v, ok := d.number(math.MinInt64, math.MaxInt64)
+		m.Wall = time.Duration(v)
+		return ok
+	}
+	return false
+}
+
+func (d *resultDecoder) skipSpace() {
+	for d.pos < len(d.data) {
+		switch d.data[d.pos] {
+		case ' ', '\t', '\n', '\r':
+			d.pos++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips whitespace and then c, if c is next.
+func (d *resultDecoder) consume(c byte) bool {
+	d.skipSpace()
+	if d.pos < len(d.data) && d.data[d.pos] == c {
+		d.pos++
+		return true
+	}
+	return false
+}
+
+// object reads a JSON object, calling field after each key and its colon
+// to read the value.
+func (d *resultDecoder) object(field func(key []byte) bool) bool {
+	if !d.consume('{') {
+		return false
+	}
+	if d.consume('}') {
+		return true
+	}
+	for {
+		key, ok := d.string()
+		if !ok || !d.consume(':') || !field(key) {
+			return false
+		}
+		if !d.consume(',') {
+			return d.consume('}')
+		}
+	}
+}
+
+// array reads a JSON array, calling elem to read each element.
+func (d *resultDecoder) array(elem func() bool) bool {
+	if !d.consume('[') {
+		return false
+	}
+	if d.consume(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if !d.consume(',') {
+			return d.consume(']')
+		}
+	}
+}
+
+// string reads a JSON string without escapes and returns its contents.
+func (d *resultDecoder) string() ([]byte, bool) {
+	if !d.consume('"') {
+		return nil, false
+	}
+	for i := d.pos; i < len(d.data); i++ {
+		switch c := d.data[i]; {
+		case c == '"':
+			s := d.data[d.pos:i]
+			d.pos = i + 1
+			return s, true
+		case c == '\\' || c < 0x20:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+func (d *resultDecoder) bool(p *bool) bool {
+	d.skipSpace()
+	rest := d.data[d.pos:]
+	switch {
+	case bytes.HasPrefix(rest, []byte("true")):
+		*p = true
+		d.pos += 4
+	case bytes.HasPrefix(rest, []byte("false")):
+		*p = false
+		d.pos += 5
+	default:
+		return false
+	}
+	return true
+}
+
+func (d *resultDecoder) int(p *int) bool {
+	v, ok := d.number(math.MinInt, math.MaxInt)
+	*p = int(v)
+	return ok
+}
+
+// number reads a JSON integer in [lo, hi]. A fraction or exponent after
+// it is left for the caller's next structural check to reject.
+func (d *resultDecoder) number(lo, hi int64) (int64, bool) {
+	d.skipSpace()
+	start := d.pos
+	if d.pos < len(d.data) && d.data[d.pos] == '-' {
+		d.pos++
+	}
+	digits := d.pos
+	for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
+		d.pos++
+	}
+	if d.pos-digits > 1 && d.data[digits] == '0' {
+		return 0, false // a leading zero is not JSON
+	}
+	return decimal(d.data[start:d.pos], lo, hi)
+}
+
+// parseNode parses Node's "x,y" text form where the fast path can.
+func parseNode(s []byte) (Node, bool) {
+	comma := bytes.IndexByte(s, ',')
+	if comma < 0 {
+		return Node{}, false
+	}
+	x, okX := decimal(s[:comma], math.MinInt, math.MaxInt)
+	y, okY := decimal(s[comma+1:], math.MinInt, math.MaxInt)
+	return Node{X: int(x), Y: int(y)}, okX && okY
+}
+
+// decimal parses an optional '-' and 1–19 digits as an integer in
+// [lo, hi]. Within that syntax it agrees with strconv.ParseInt; a minus
+// sign is refused outright when lo is 0, as encoding/json refuses "-0"
+// for unsigned fields.
+func decimal(s []byte, lo, hi int64) (int64, bool) {
+	neg := len(s) > 0 && s[0] == '-'
+	if neg {
+		s = s[1:]
+	}
+	if len(s) == 0 || len(s) > 19 {
+		return 0, false
+	}
+	var u uint64
+	for _, c := range s {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		u = u*10 + uint64(c-'0')
+	}
+	if neg {
+		if lo == 0 || u > uint64(-(lo+1))+1 {
+			return 0, false
+		}
+		return -int64(u), true
+	}
+	if u > uint64(hi) {
+		return 0, false
+	}
+	return int64(u), true
 }
 
 // fingerprintVersion prefixes every canonical serialization; bump it

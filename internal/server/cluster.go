@@ -267,7 +267,7 @@ func (s *Server) probePeer(peer, fp string) (rbcast.Result, bool, error) {
 func (s *Server) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	if res, ok := s.cache.Peek(fp); ok {
-		writeJSON(w, http.StatusOK, RunResponse{Fingerprint: fp, Result: res})
+		writeRunResponse(w, fp, res)
 		return
 	}
 	writeError(w, http.StatusNotFound, fmt.Errorf("fingerprint %q is not resident", fp))

@@ -25,8 +25,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the Prometheus text exposition format (v0.0.4):
-// server counters (requests, cache, jobs) plus the aggregated
-// internal/metrics simulation totals across every executed run.
+// server counters (requests, cache, jobs) plus the engine totals each
+// executed run's Result carries (counted by etrace.Recorder), summed
+// across every executed run.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
 

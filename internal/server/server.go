@@ -138,7 +138,8 @@ type Server struct {
 	peerFillHit, peerFillMiss, peerFillErr atomic.Int64
 
 	// Aggregated simulation totals across every executed (non-cached)
-	// run — the internal/metrics counters surfaced fleet-wide.
+	// run — each Result's engine counters (etrace.Recorder's, carried in
+	// Result and Result.Metrics) surfaced fleet-wide.
 	simRuns, simBroadcasts, simDeliveries, simEvidence, simCommits atomic.Int64
 
 	// Sweep-engine totals: sweeps served, elements planned, results shared
@@ -341,7 +342,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Rbcast-Cache", "miss")
 	}
 	encSp := tr.Start(root, "encode")
-	writeJSON(w, http.StatusOK, RunResponse{Fingerprint: fp, Result: res})
+	writeRunResponse(w, fp, res)
 	tr.End(encSp)
 }
 
@@ -484,6 +485,26 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(append(data, '\n'))
+}
+
+// writeRunResponse writes the 200 body of /v1/run and /v1/cache/{fp}: the
+// bytes writeJSON writes for RunResponse{fp, res}, with the result's own
+// MarshalJSON output placed in the envelope as is, where encoding/json
+// would scan and copy it once more.
+func writeRunResponse(w http.ResponseWriter, fp string, res rbcast.Result) {
+	fpJSON, _ := json.Marshal(fp) // a string always encodes
+	result, err := res.MarshalJSON()
+	if err != nil {
+		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	head := make([]byte, 0, len(`{"fingerprint":,"result":`)+len(fpJSON))
+	head = append(append(append(head, `{"fingerprint":`...), fpJSON...), `,"result":`...)
+	w.Write(head)
+	w.Write(result)
+	w.Write([]byte("}\n"))
 }
 
 // writeError writes the uniform error body.

@@ -521,3 +521,78 @@ func TestRunEndpointServesNonTorusFamilies(t *testing.T) {
 		t.Errorf("bv4-on-rgg error %s does not name the required family", body)
 	}
 }
+
+// reflectedResult is rbcast.Result without its JSON methods, so
+// encoding/json encodes it field by field by reflection.
+type reflectedResult rbcast.Result
+
+// TestRunResponseBytesMatchReflection pins the hand-assembled /v1/run and
+// /v1/cache/{fp} bodies to what writeJSON writes for a RunResponse whose
+// Result encoding/json encodes by reflection: on a miss, on a hit and on a
+// cache probe, for torus, RGG, custom and traced scenarios.
+func TestRunResponseBytesMatchReflection(t *testing.T) {
+	var mu sync.Mutex
+	executed := map[string]rbcast.Result{}
+	srv := New(Options{Runner: func(ctx context.Context, cfg rbcast.Config, plan rbcast.FaultPlan) (rbcast.Result, error) {
+		res, err := rbcast.RunContext(ctx, cfg, plan)
+		mu.Lock()
+		executed[rbcast.Job{Config: cfg, Plan: plan}.Fingerprint()] = res
+		mu.Unlock()
+		return res, err
+	}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	traced := testScenario()
+	traced.Config.Trace = true
+	ring := &rbcast.GraphSpec{Nodes: 6, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 3}}}
+	cases := []struct {
+		name string
+		req  RunRequest
+	}{
+		{"torus", testScenario()},
+		{"torus-flood", RunRequest{Config: rbcast.Config{Width: 24, Height: 24, Radius: 2, Protocol: rbcast.ProtocolFlood, Value: 1}}},
+		{"rgg", RunRequest{Config: rbcast.Config{Topology: rbcast.TopologyRGG, Nodes: 48, RGGRadius: 0.25, TopologySeed: 3, Protocol: rbcast.ProtocolFlood, Value: 1}}},
+		{"custom", RunRequest{Config: rbcast.Config{Topology: rbcast.TopologyCustom, Graph: ring, Protocol: rbcast.ProtocolCPA, T: 1, MaxRounds: 32, Value: 1}}},
+		{"traced", traced},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			fp := rbcast.Job{Config: tt.req.Config, Plan: tt.req.Plan}.Fingerprint()
+			miss, missBody := postJSON(t, ts, "/v1/run", tt.req)
+			if miss.StatusCode != http.StatusOK || miss.Header.Get("X-Rbcast-Cache") != "miss" {
+				t.Fatalf("first run: status %d, cache %q: %s", miss.StatusCode, miss.Header.Get("X-Rbcast-Cache"), missBody)
+			}
+			mu.Lock()
+			res, ok := executed[fp]
+			mu.Unlock()
+			if !ok {
+				t.Fatal("the run did not go through the runner")
+			}
+			want, err := json.Marshal(struct {
+				Fingerprint string          `json:"fingerprint"`
+				Result      reflectedResult `json:"result"`
+			}{fp, reflectedResult(res)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n')
+			if !bytes.Equal(missBody, want) {
+				t.Fatalf("miss body differs from the reflection encoding:\n got  %.300s\n want %.300s", missBody, want)
+			}
+			hit, hitBody := postJSON(t, ts, "/v1/run", tt.req)
+			if hit.Header.Get("X-Rbcast-Cache") != "hit" || !bytes.Equal(hitBody, want) {
+				t.Errorf("hit (cache %q) body differs from the miss body", hit.Header.Get("X-Rbcast-Cache"))
+			}
+			probe, probeBody := getBody(t, ts, "/v1/cache/"+fp)
+			if probe.StatusCode != http.StatusOK || !bytes.Equal(probeBody, want) {
+				t.Errorf("cache probe: status %d, body differs from the miss body", probe.StatusCode)
+			}
+			for _, resp := range []*http.Response{miss, hit, probe} {
+				if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+					t.Errorf("Content-Type %q, want application/json", ct)
+				}
+			}
+		})
+	}
+}
