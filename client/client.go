@@ -35,6 +35,7 @@ import (
 	"time"
 
 	rbcast "repro"
+	"repro/internal/wire"
 )
 
 // Options configure a Client. The zero value is usable: a 30-second
@@ -220,15 +221,31 @@ func (c *Client) Run(ctx context.Context, cfg rbcast.Config, plan rbcast.FaultPl
 	if err != nil {
 		return RunResult{}, fmt.Errorf("client: encoding scenario: %w", err)
 	}
-	var out RunResult
 	hdr, data, err := c.do(ctx, http.MethodPost, "/v1/run", body, true)
 	if err != nil {
 		return RunResult{}, err
 	}
-	if err := json.Unmarshal(data, &out); err != nil {
+	out, err := decodeRun(data)
+	if err != nil {
 		return RunResult{}, fmt.Errorf("client: decoding run response: %w", err)
 	}
 	out.Cached = hdr.Get("X-Rbcast-Cache") == "hit"
+	return out, nil
+}
+
+// decodeRun decodes a /v1/run or GET /v1/cache/{fp} body through the
+// envelope codec's fast path, or with encoding/json when the fast path
+// does not take it.
+func decodeRun(data []byte) (RunResult, error) {
+	var out RunResult
+	var ok bool
+	if out.Fingerprint, out.Result, ok = wire.DecodeRun(data); ok {
+		return out, nil
+	}
+	out = RunResult{}
+	if err := json.Unmarshal(data, &out); err != nil {
+		return RunResult{}, err
+	}
 	return out, nil
 }
 
@@ -269,7 +286,23 @@ func (c *Client) Sweep(ctx context.Context, base rbcast.Job, axes rbcast.SweepAx
 
 // parseSweepStream decodes the /v1/sweep NDJSON body: a header line with
 // the planned element count, one line per element, and a stats trailer.
+// The envelope codec's fast path takes the served bodies; anything else
+// goes to encoding/json.
 func parseSweepStream(data []byte) (SweepResult, error) {
+	elems, stats, ok := wire.DecodeSweep(data)
+	if !ok {
+		return reflectSweepStream(data)
+	}
+	out := SweepResult{Elements: make([]SweepElement, len(elems)), Stats: stats}
+	for i := range elems {
+		out.Elements[i] = SweepElement(elems[i])
+	}
+	return out, nil
+}
+
+// reflectSweepStream is parseSweepStream by encoding/json's stream
+// decoder.
+func reflectSweepStream(data []byte) (SweepResult, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	var header struct {
 		Elements int `json:"elements"`
@@ -277,7 +310,9 @@ func parseSweepStream(data []byte) (SweepResult, error) {
 	if err := dec.Decode(&header); err != nil {
 		return SweepResult{}, fmt.Errorf("client: decoding sweep header: %w", err)
 	}
-	out := SweepResult{Elements: make([]SweepElement, 0, header.Elements)}
+	// Every element takes at least 2 bytes, which bounds the capacity by
+	// the input whatever count the header claims.
+	out := SweepResult{Elements: make([]SweepElement, 0, min(max(header.Elements, 0), len(data)/2))}
 	for i := 0; i < header.Elements; i++ {
 		var el SweepElement
 		if err := dec.Decode(&el); err != nil {
@@ -297,13 +332,35 @@ func parseSweepStream(data []byte) (SweepResult, error) {
 
 // Job fetches a batch job's status.
 func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
-	var st JobStatus
 	_, data, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, true)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	if err := json.Unmarshal(data, &st); err != nil {
+	st, err := decodeJobStatus(data)
+	if err != nil {
 		return JobStatus{}, fmt.Errorf("client: decoding job status: %w", err)
+	}
+	return st, nil
+}
+
+// decodeJobStatus decodes a GET /v1/jobs/{id} body through the envelope
+// codec's fast path, or with encoding/json when the fast path does not
+// take it.
+func decodeJobStatus(data []byte) (JobStatus, error) {
+	if ws, ok := wire.DecodeJobStatus(data); ok {
+		st := JobStatus{ID: ws.ID, State: ws.State, Jobs: ws.Jobs}
+		if ws.Results != nil {
+			st.Results = make([]JobResult, len(ws.Results))
+			for i, e := range ws.Results {
+				st.Results[i] = JobResult{Fingerprint: e.Fingerprint, Result: e.Result,
+					Error: e.Error, Cached: e.Cached, Partial: e.Partial}
+			}
+		}
+		return st, nil
+	}
+	var st JobStatus
+	if err := json.Unmarshal(data, &st); err != nil {
+		return JobStatus{}, err
 	}
 	return st, nil
 }

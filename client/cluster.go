@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -97,7 +96,6 @@ func (c *Cluster) Run(ctx context.Context, cfg rbcast.Config, plan rbcast.FaultP
 // hit/miss counters — it is the fleet's own warm-from-a-sibling route,
 // exposed for tooling that audits where fingerprints are resident.
 func (c *Client) CachedResult(ctx context.Context, fingerprint string) (RunResult, bool, error) {
-	var out RunResult
 	_, data, err := c.do(ctx, http.MethodGet, "/v1/cache/"+fingerprint, nil, true)
 	if err != nil {
 		var se *StatusError
@@ -106,7 +104,8 @@ func (c *Client) CachedResult(ctx context.Context, fingerprint string) (RunResul
 		}
 		return RunResult{}, false, err
 	}
-	if err := json.Unmarshal(data, &out); err != nil {
+	out, err := decodeRun(data)
+	if err != nil {
 		return RunResult{}, false, fmt.Errorf("client: decoding cache probe: %w", err)
 	}
 	return out, true, nil

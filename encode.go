@@ -29,7 +29,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
+
+	"repro/internal/jsonscan"
 )
 
 // MarshalText encodes the protocol name ("flood", "cpa", "bv4", "bv2",
@@ -324,7 +325,13 @@ type plainResult Result
 // encoding/json sorts a TextMarshaler-keyed map. Trace, which only traced
 // runs carry, is encoded by encoding/json.
 func (r Result) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 256+48*len(r.Decisions)+16*len(r.Faulty)+64*len(r.Metrics.PerRound))
+	return r.AppendJSON(nil)
+}
+
+// AppendJSON appends the bytes MarshalJSON returns to b, so an enclosing
+// encoder can place them without a copy of its own.
+func (r Result) AppendJSON(b []byte) ([]byte, error) {
+	b = slices.Grow(b, 256+48*len(r.Decisions)+16*len(r.Faulty)+64*len(r.Metrics.PerRound))
 	b = append(b, '{')
 	b = appendIntField(b, `"honest":`, int64(r.Honest))
 	b = appendIntField(b, `"correct":`, int64(r.Correct))
@@ -503,7 +510,7 @@ func unpackDecimal(k uint64) int {
 // the merge into a non-zero receiver are encoding/json's.
 func (r *Result) UnmarshalJSON(data []byte) error {
 	saved := *r
-	d := resultDecoder{data: data}
+	d := resultDecoder{jsonscan.Decoder{Data: data}}
 	if d.result(r) {
 		return nil
 	}
@@ -518,38 +525,35 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 // non-nil, the receiver's or one an earlier repeat of the key built; the
 // fast path only builds fresh ones, so it reports false for those.
 type resultDecoder struct {
-	data []byte
-	pos  int
+	jsonscan.Decoder
 }
 
 func (d *resultDecoder) result(r *Result) bool {
-	ok := d.object(func(key []byte) bool { return d.resultField(r, key) })
-	d.skipSpace()
-	return ok && d.pos == len(d.data)
+	return d.Object(func(key []byte) bool { return d.resultField(r, key) }) && d.AtEnd()
 }
 
 func (d *resultDecoder) resultField(r *Result, key []byte) bool {
 	switch string(key) {
 	case "honest":
-		return d.int(&r.Honest)
+		return d.Int(&r.Honest)
 	case "correct":
-		return d.int(&r.Correct)
+		return d.Int(&r.Correct)
 	case "wrong":
-		return d.int(&r.Wrong)
+		return d.Int(&r.Wrong)
 	case "undecided":
-		return d.int(&r.Undecided)
+		return d.Int(&r.Undecided)
 	case "faults":
-		return d.int(&r.Faults)
+		return d.Int(&r.Faults)
 	case "max_faults_per_nbd":
-		return d.int(&r.MaxFaultsPerNbd)
+		return d.Int(&r.MaxFaultsPerNbd)
 	case "rounds":
-		return d.int(&r.Rounds)
+		return d.Int(&r.Rounds)
 	case "broadcasts":
-		return d.int(&r.Broadcasts)
+		return d.Int(&r.Broadcasts)
 	case "deliveries":
-		return d.int(&r.Deliveries)
+		return d.Int(&r.Deliveries)
 	case "quiesced":
-		return d.bool(&r.Quiesced)
+		return d.Bool(&r.Quiesced)
 	case "decisions":
 		if r.Decisions != nil {
 			return false
@@ -557,12 +561,12 @@ func (d *resultDecoder) resultField(r *Result, key []byte) bool {
 		// Every node has a decision, so Honest+Faults (when they came
 		// first, as MarshalJSON puts them) sizes the map; each entry
 		// takes at least 8 bytes, which bounds the hint by the input.
-		hint := min(r.Honest+r.Faults, (len(d.data)-d.pos)/8)
+		hint := min(r.Honest+r.Faults, (len(d.Data)-d.Pos)/8)
 		r.Decisions = make(map[Node]Decision, max(hint, 0))
-		return d.object(func(key []byte) bool {
+		return d.Object(func(key []byte) bool {
 			n, ok := parseNode(key)
 			var dec Decision
-			if !ok || !d.object(func(key []byte) bool { return d.decisionField(&dec, key) }) {
+			if !ok || !d.Object(func(key []byte) bool { return d.decisionField(&dec, key) }) {
 				return false
 			}
 			r.Decisions[n] = dec
@@ -572,15 +576,17 @@ func (d *resultDecoder) resultField(r *Result, key []byte) bool {
 		if r.Faulty != nil {
 			return false
 		}
-		r.Faulty = []Node{}
-		return d.array(func() bool {
-			s, ok := d.string()
+		// Faults counts the list (when it came first, as MarshalJSON puts
+		// it); each entry takes at least 5 bytes.
+		r.Faulty = make([]Node, 0, max(min(r.Faults, (len(d.Data)-d.Pos)/5), 0))
+		return d.Array(func() bool {
+			s, ok := d.RawString()
 			n, ok2 := parseNode(s)
 			r.Faulty = append(r.Faulty, n)
 			return ok && ok2
 		})
 	case "metrics":
-		return d.object(func(key []byte) bool { return d.metricsField(&r.Metrics, key) })
+		return d.Object(func(key []byte) bool { return d.metricsField(&r.Metrics, key, r.Rounds) })
 	}
 	return false
 }
@@ -588,40 +594,44 @@ func (d *resultDecoder) resultField(r *Result, key []byte) bool {
 func (d *resultDecoder) decisionField(dec *Decision, key []byte) bool {
 	switch string(key) {
 	case "value":
-		v, ok := d.number(0, 255)
+		v, ok := d.Number(0, 255)
 		dec.Value = byte(v)
 		return ok
 	case "decided":
-		return d.bool(&dec.Decided)
+		return d.Bool(&dec.Decided)
 	case "round":
-		return d.int(&dec.Round)
+		return d.Int(&dec.Round)
 	}
 	return false
 }
 
-func (d *resultDecoder) metricsField(m *Metrics, key []byte) bool {
+// metricsField reads one Metrics field; rounds is the Result's round
+// count so far, which sizes PerRound.
+func (d *resultDecoder) metricsField(m *Metrics, key []byte, rounds int) bool {
 	switch string(key) {
 	case "evidence_evals":
-		return d.int(&m.EvidenceEvals)
+		return d.Int(&m.EvidenceEvals)
 	case "commits":
-		return d.int(&m.Commits)
+		return d.Int(&m.Commits)
 	case "per_round":
 		if m.PerRound != nil {
 			return false
 		}
-		m.PerRound = []RoundMetrics{}
-		return d.array(func() bool {
+		// A run has a row per round from round 0; each row takes at
+		// least 2 bytes.
+		m.PerRound = make([]RoundMetrics, 0, max(min(rounds+1, (len(d.Data)-d.Pos)/2), 0))
+		return d.Array(func() bool {
 			var rc RoundMetrics
-			ok := d.object(func(key []byte) bool {
+			ok := d.Object(func(key []byte) bool {
 				switch string(key) {
 				case "broadcasts":
-					return d.int(&rc.Broadcasts)
+					return d.Int(&rc.Broadcasts)
 				case "deliveries":
-					return d.int(&rc.Deliveries)
+					return d.Int(&rc.Deliveries)
 				case "evidence_evals":
-					return d.int(&rc.EvidenceEvals)
+					return d.Int(&rc.EvidenceEvals)
 				case "commits":
-					return d.int(&rc.Commits)
+					return d.Int(&rc.Commits)
 				}
 				return false
 			})
@@ -629,128 +639,9 @@ func (d *resultDecoder) metricsField(m *Metrics, key []byte) bool {
 			return ok
 		})
 	case "wall_ns":
-		v, ok := d.number(math.MinInt64, math.MaxInt64)
-		m.Wall = time.Duration(v)
-		return ok
+		return d.Int64((*int64)(&m.Wall))
 	}
 	return false
-}
-
-func (d *resultDecoder) skipSpace() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
-}
-
-// consume skips whitespace and then c, if c is next.
-func (d *resultDecoder) consume(c byte) bool {
-	d.skipSpace()
-	if d.pos < len(d.data) && d.data[d.pos] == c {
-		d.pos++
-		return true
-	}
-	return false
-}
-
-// object reads a JSON object, calling field after each key and its colon
-// to read the value.
-func (d *resultDecoder) object(field func(key []byte) bool) bool {
-	if !d.consume('{') {
-		return false
-	}
-	if d.consume('}') {
-		return true
-	}
-	for {
-		key, ok := d.string()
-		if !ok || !d.consume(':') || !field(key) {
-			return false
-		}
-		if !d.consume(',') {
-			return d.consume('}')
-		}
-	}
-}
-
-// array reads a JSON array, calling elem to read each element.
-func (d *resultDecoder) array(elem func() bool) bool {
-	if !d.consume('[') {
-		return false
-	}
-	if d.consume(']') {
-		return true
-	}
-	for {
-		if !elem() {
-			return false
-		}
-		if !d.consume(',') {
-			return d.consume(']')
-		}
-	}
-}
-
-// string reads a JSON string without escapes and returns its contents.
-func (d *resultDecoder) string() ([]byte, bool) {
-	if !d.consume('"') {
-		return nil, false
-	}
-	for i := d.pos; i < len(d.data); i++ {
-		switch c := d.data[i]; {
-		case c == '"':
-			s := d.data[d.pos:i]
-			d.pos = i + 1
-			return s, true
-		case c == '\\' || c < 0x20:
-			return nil, false
-		}
-	}
-	return nil, false
-}
-
-func (d *resultDecoder) bool(p *bool) bool {
-	d.skipSpace()
-	rest := d.data[d.pos:]
-	switch {
-	case bytes.HasPrefix(rest, []byte("true")):
-		*p = true
-		d.pos += 4
-	case bytes.HasPrefix(rest, []byte("false")):
-		*p = false
-		d.pos += 5
-	default:
-		return false
-	}
-	return true
-}
-
-func (d *resultDecoder) int(p *int) bool {
-	v, ok := d.number(math.MinInt, math.MaxInt)
-	*p = int(v)
-	return ok
-}
-
-// number reads a JSON integer in [lo, hi]. A fraction or exponent after
-// it is left for the caller's next structural check to reject.
-func (d *resultDecoder) number(lo, hi int64) (int64, bool) {
-	d.skipSpace()
-	start := d.pos
-	if d.pos < len(d.data) && d.data[d.pos] == '-' {
-		d.pos++
-	}
-	digits := d.pos
-	for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
-		d.pos++
-	}
-	if d.pos-digits > 1 && d.data[digits] == '0' {
-		return 0, false // a leading zero is not JSON
-	}
-	return decimal(d.data[start:d.pos], lo, hi)
 }
 
 // parseNode parses Node's "x,y" text form where the fast path can.
@@ -759,40 +650,9 @@ func parseNode(s []byte) (Node, bool) {
 	if comma < 0 {
 		return Node{}, false
 	}
-	x, okX := decimal(s[:comma], math.MinInt, math.MaxInt)
-	y, okY := decimal(s[comma+1:], math.MinInt, math.MaxInt)
+	x, okX := jsonscan.Decimal(s[:comma], math.MinInt, math.MaxInt)
+	y, okY := jsonscan.Decimal(s[comma+1:], math.MinInt, math.MaxInt)
 	return Node{X: int(x), Y: int(y)}, okX && okY
-}
-
-// decimal parses an optional '-' and 1–19 digits as an integer in
-// [lo, hi]. Within that syntax it agrees with strconv.ParseInt; a minus
-// sign is refused outright when lo is 0, as encoding/json refuses "-0"
-// for unsigned fields.
-func decimal(s []byte, lo, hi int64) (int64, bool) {
-	neg := len(s) > 0 && s[0] == '-'
-	if neg {
-		s = s[1:]
-	}
-	if len(s) == 0 || len(s) > 19 {
-		return 0, false
-	}
-	var u uint64
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		u = u*10 + uint64(c-'0')
-	}
-	if neg {
-		if lo == 0 || u > uint64(-(lo+1))+1 {
-			return 0, false
-		}
-		return -int64(u), true
-	}
-	if u > uint64(hi) {
-		return 0, false
-	}
-	return int64(u), true
 }
 
 // fingerprintVersion prefixes every canonical serialization; bump it

@@ -28,6 +28,7 @@ import (
 	rbcast "repro"
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 const (
@@ -245,9 +246,23 @@ func (s *Server) probePeer(peer, fp string) (rbcast.Result, bool, error) {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return rbcast.Result{}, false, fmt.Errorf("reading cache probe from %s: %w", peer, err)
+		}
 		var rr RunResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			return rbcast.Result{}, false, fmt.Errorf("decoding cache probe from %s: %w", peer, err)
+		var ok bool
+		if rr.Fingerprint, rr.Result, ok = wire.DecodeRun(data); !ok {
+			rr = RunResponse{}
+			if err := json.NewDecoder(bytes.NewReader(data)).Decode(&rr); err != nil {
+				return rbcast.Result{}, false, fmt.Errorf("decoding cache probe from %s: %w", peer, err)
+			}
+		}
+		// A sibling that answers for another scenario — a bug, or a
+		// different fingerprint version mid-rollout — must not fill this
+		// fingerprint's cache entry.
+		if rr.Fingerprint != fp {
+			return rbcast.Result{}, false, fmt.Errorf("peer %s answered the cache probe for %.12s with fingerprint %.12q", peer, fp, rr.Fingerprint)
 		}
 		return rr.Result, true, nil
 	case http.StatusNotFound:

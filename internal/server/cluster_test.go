@@ -8,12 +8,15 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
 
 	rbcast "repro"
+	"repro/internal/cluster"
 )
 
 // fleetNode is one member of an in-process test fleet.
@@ -399,5 +402,82 @@ func TestValidateCluster(t *testing.T) {
 	}
 	if err := ValidateCluster("http://a:1", nil); err == nil {
 		t.Error("empty fleet accepted")
+	}
+}
+
+// TestClusterPeerFillRejectsWrongFingerprint: a sibling that answers a
+// cache probe with another scenario's fingerprint is a peer error, not a
+// fill. The owner counts it, moves on to the next sibling in ring order,
+// and fills from the one that answers for the probed fingerprint.
+func TestClusterPeerFillRejectsWrongFingerprint(t *testing.T) {
+	lns := make([]net.Listener, 3)
+	urls := make([]string, 3)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i] = ln
+		urls[i] = "http://" + ln.Addr().String()
+	}
+	ring, err := cluster.New(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req RunRequest
+	var fp string
+	for h := 0; fp == "" || ring.Owner(fp) != urls[0]; h++ {
+		req = otherScenario(h)
+		fp = rbcast.Job{Config: req.Config, Plan: req.Plan}.Fingerprint()
+	}
+	// Ring order after the owner: the first sibling misbehaves, the second
+	// holds the right result.
+	order := ring.Successors(fp, 3)[1:]
+	serve := func(url string, h http.Handler) {
+		hs := &http.Server{Handler: h}
+		go hs.Serve(lns[slices.Index(urls, url)])
+		t.Cleanup(func() { hs.Close() })
+	}
+	wrong := otherScenario(100)
+	wrongRes, err := rbcast.Run(wrong.Config, wrong.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(order[0], http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, RunResponse{Fingerprint: rbcast.Job{Config: wrong.Config, Plan: wrong.Plan}.Fingerprint(), Result: wrongRes})
+	}))
+	res, err := rbcast.Run(req.Config, req.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := New(Options{Self: order[1], Peers: urls})
+	holder.cache.Put(fp, res)
+	serve(order[1], holder)
+	var runs atomic.Int32
+	owner := New(Options{Self: urls[0], Peers: urls, Runner: func(ctx context.Context, cfg rbcast.Config, plan rbcast.FaultPlan) (rbcast.Result, error) {
+		runs.Add(1)
+		return rbcast.RunContext(ctx, cfg, plan)
+	}})
+	serve(urls[0], owner)
+
+	resp, body := postRun(t, urls[0], req)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Rbcast-Cache") != "peer" {
+		t.Fatalf("owner answered %d, cache %q: %.200s", resp.StatusCode, resp.Header.Get("X-Rbcast-Cache"), body)
+	}
+	var got RunResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Fingerprint != fp || !reflect.DeepEqual(got.Result, res) {
+		t.Errorf("owner served fingerprint %.12s with %d decisions, want %.12s with the holder's result",
+			got.Fingerprint, len(got.Result.Decisions), fp)
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("owner simulated %d times despite a sibling holding the result", n)
+	}
+	for outcome, want := range map[string]int{"error": 1, "hit": 1, "miss": 0} {
+		if got := metricValue(t, urls[0], `rbcastd_peer_cache_fill_total\{outcome="`+outcome+`"\} (\d+)`); got != want {
+			t.Errorf("fill %s counter = %d, want %d", outcome, got, want)
+		}
 	}
 }

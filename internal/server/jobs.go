@@ -12,6 +12,7 @@ import (
 
 	rbcast "repro"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // BatchRequest is the /v1/batch payload.
@@ -362,14 +363,21 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
 		return
 	}
-	status := JobStatus{ID: job.id, Jobs: job.n, State: "running"}
+	status := wire.JobStatus{ID: job.id, Jobs: job.n, State: "running"}
 	job.mu.Lock()
 	if job.done {
 		status.State = "done"
-		status.Results = job.results
+		status.Results = make([]wire.Element, len(job.results))
+		for i, r := range job.results {
+			status.Results[i] = wire.Element{Fingerprint: r.Fingerprint, Result: r.Result,
+				Error: r.Error, Cached: r.Cached, Partial: r.Partial}
+		}
 	}
 	job.mu.Unlock()
-	writeJSON(w, http.StatusOK, status)
+	// The bytes writeJSON writes for a JobStatus, through the envelope
+	// codec.
+	body, err := wire.AppendJobStatus(nil, &status)
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 // handleJobTrace streams one batch element's execution trace as JSON

@@ -19,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/scache"
+	"repro/internal/wire"
 )
 
 // Options configure a Server; the zero value serves with defaults.
@@ -478,6 +479,12 @@ func decodeStrict(data []byte, v any) error {
 // writeJSON writes a JSON response body with status code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.Marshal(v)
+	writeEncoded(w, code, data, err)
+}
+
+// writeEncoded writes an encoded JSON body with status code and the trailing
+// newline every body ends with, or a 500 when encoding failed.
+func writeEncoded(w http.ResponseWriter, code int, data []byte, err error) {
 	if err != nil {
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
 		return
@@ -488,23 +495,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // writeRunResponse writes the 200 body of /v1/run and /v1/cache/{fp}: the
-// bytes writeJSON writes for RunResponse{fp, res}, with the result's own
-// MarshalJSON output placed in the envelope as is, where encoding/json
-// would scan and copy it once more.
+// bytes writeJSON writes for RunResponse{fp, res}, through the envelope
+// codec.
 func writeRunResponse(w http.ResponseWriter, fp string, res rbcast.Result) {
-	fpJSON, _ := json.Marshal(fp) // a string always encodes
-	result, err := res.MarshalJSON()
-	if err != nil {
-		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	head := make([]byte, 0, len(`{"fingerprint":,"result":`)+len(fpJSON))
-	head = append(append(append(head, `{"fingerprint":`...), fpJSON...), `,"result":`...)
-	w.Write(head)
-	w.Write(result)
-	w.Write([]byte("}\n"))
+	body, err := wire.AppendElement(nil, &wire.Element{Fingerprint: fp, Result: &res}, false)
+	writeEncoded(w, http.StatusOK, body, err)
 }
 
 // writeError writes the uniform error body.

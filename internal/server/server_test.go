@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -593,6 +594,263 @@ func TestRunResponseBytesMatchReflection(t *testing.T) {
 					t.Errorf("Content-Type %q, want application/json", ct)
 				}
 			}
+		})
+	}
+}
+
+// envelopeFaults rewrites the outcome of two marker scenarios so that the
+// envelopes carry every optional field and error texts encoding/json has
+// to escape: Plan.Seed 40 is cut by the job deadline (an error plus the
+// partial result), Plan.Seed 41 fails.
+func envelopeFaults(jobs []rbcast.Job, out []rbcast.BatchResult) {
+	for i, j := range jobs {
+		switch j.Plan.Seed {
+		case 40:
+			out[i].Err = fmt.Errorf("%w at <round 2> & after", rbcast.ErrDeadline)
+		case 41:
+			out[i] = rbcast.BatchResult{Err: errors.New("rejected <scenario> & \"value\" \u2028 here")}
+		}
+	}
+}
+
+// recordedRuns keeps every outcome a batch or sweep runner returned, by
+// fingerprint, and the last sweep's stats.
+type recordedRuns struct {
+	mu    sync.Mutex
+	runs  map[string]rbcast.BatchResult
+	stats rbcast.SweepStats
+}
+
+func (r *recordedRuns) record(jobs []rbcast.Job, out []rbcast.BatchResult) {
+	envelopeFaults(jobs, out)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.runs == nil {
+		r.runs = make(map[string]rbcast.BatchResult)
+	}
+	for i, j := range jobs {
+		r.runs[j.Fingerprint()] = out[i]
+	}
+}
+
+// element is what the server makes of a recorded outcome: the result, or
+// the error with the partial result when the deadline cut the run.
+func (r *recordedRuns) element(fp string, cached bool) (res *reflectedResult, errText string, partial bool) {
+	r.mu.Lock()
+	br, ok := r.runs[fp]
+	r.mu.Unlock()
+	if !ok {
+		panic("no recorded run for " + fp)
+	}
+	rr := reflectedResult(br.Result)
+	switch {
+	case br.Err == nil:
+		return &rr, "", false
+	case errors.Is(br.Err, rbcast.ErrDeadline) && !cached:
+		return &rr, br.Err.Error(), true
+	}
+	return nil, br.Err.Error(), false
+}
+
+// envelopeCases are the scenarios the byte-identity tests serve: torus
+// flood, BV4, RGG, custom, traced, and the two fault markers.
+func envelopeCases() map[string]rbcast.Job {
+	ring := &rbcast.GraphSpec{Nodes: 6, Edges: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}, {0, 3}}}
+	band := rbcast.FaultPlan{Placement: rbcast.PlaceBand, Strategy: rbcast.StrategyCrash, CrashRound: 2}
+	traced := rbcast.Config{Width: 8, Height: 8, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1, Trace: true}
+	bv4 := testScenario()
+	partial := band
+	partial.Seed = 40
+	invalid := band
+	invalid.Seed = 41
+	return map[string]rbcast.Job{
+		"torus-flood": {Config: rbcast.Config{Width: 16, Height: 10, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1}, Plan: band},
+		"bv4":         {Config: bv4.Config, Plan: bv4.Plan},
+		"rgg":         {Config: rbcast.Config{Topology: rbcast.TopologyRGG, Nodes: 48, RGGRadius: 0.25, TopologySeed: 3, Protocol: rbcast.ProtocolFlood, Value: 1}},
+		"custom":      {Config: rbcast.Config{Topology: rbcast.TopologyCustom, Graph: ring, Protocol: rbcast.ProtocolCPA, T: 1, MaxRounds: 32, Value: 1}},
+		"traced":      {Config: traced, Plan: band},
+		"partial":     {Config: rbcast.Config{Width: 12, Height: 12, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 1}, Plan: partial},
+		"invalid":     {Config: rbcast.Config{Width: 12, Height: 12, Radius: 1, Protocol: rbcast.ProtocolFlood, Value: 0}, Plan: invalid},
+	}
+}
+
+// firstDiff reports the first line where got and want differ.
+func firstDiff(got, want []byte) string {
+	g, w := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if !bytes.Equal(g[i], w[i]) {
+			return fmt.Sprintf("line %d:\n got  %.300s\n want %.300s", i, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(g), len(w))
+}
+
+// TestSweepStreamBytesMatchReflection pins the /v1/sweep body, whose
+// element lines the envelope codec writes, to what json.Encoder writes for
+// the header, for each element with its Result encoded by reflection, and
+// for the trailer: for torus flood, BV4, RGG, custom and traced sweeps, a
+// sweep with a deadline-cut partial element and a failed element whose
+// error encoding/json escapes, and a repeat served from the cache.
+func TestSweepStreamBytesMatchReflection(t *testing.T) {
+	var rec recordedRuns
+	srv := New(Options{SweepRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
+		out, stats := rbcast.RunSweepJobs(jobs, opts)
+		rec.record(jobs, out)
+		rec.mu.Lock()
+		rec.stats = stats
+		rec.mu.Unlock()
+		return out, stats
+	}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	type sweepLine struct {
+		Index       int              `json:"index"`
+		Fingerprint string           `json:"fingerprint"`
+		Result      *reflectedResult `json:"result,omitempty"`
+		Error       string           `json:"error,omitempty"`
+		Cached      bool             `json:"cached,omitempty"`
+		Partial     bool             `json:"partial,omitempty"`
+	}
+	jobs := envelopeCases()
+	faults := jobs["partial"]
+	faults.Plan.Seed = 0
+	cases := []struct {
+		name   string
+		base   rbcast.Job
+		axes   rbcast.SweepAxes
+		cached bool
+	}{
+		{"torus-flood", jobs["torus-flood"], rbcast.SweepAxes{CrashRounds: []int{1, 2, 3}}, false},
+		{"bv4", jobs["bv4"], rbcast.SweepAxes{Ts: []int{1, 2}}, false},
+		{"rgg", jobs["rgg"], rbcast.SweepAxes{Ts: []int{0, 1}}, false},
+		{"custom", jobs["custom"], rbcast.SweepAxes{Ts: []int{0, 1}}, false},
+		{"traced", jobs["traced"], rbcast.SweepAxes{CrashRounds: []int{1, 2}}, false},
+		{"partial-and-invalid", faults, rbcast.SweepAxes{Seeds: []int64{0, 40, 41}}, false},
+		{"cached", jobs["torus-flood"], rbcast.SweepAxes{CrashRounds: []int{1, 2, 3}}, true},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			rec.mu.Lock()
+			rec.stats = rbcast.SweepStats{}
+			rec.mu.Unlock()
+			resp, body := postJSON(t, ts, "/v1/sweep", SweepRequest{
+				Base: RunRequest{Config: tt.base.Config, Plan: tt.base.Plan},
+				Axes: tt.axes,
+			})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, body)
+			}
+			elements, err := rbcast.SweepSpec{Base: tt.base, Axes: tt.axes}.Elements()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.Encode(SweepHeader{Elements: len(elements)})
+			for i, job := range elements {
+				line := sweepLine{Index: i, Fingerprint: job.Fingerprint(), Cached: tt.cached}
+				line.Result, line.Error, line.Partial = rec.element(line.Fingerprint, tt.cached)
+				if err := enc.Encode(line); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec.mu.Lock()
+			enc.Encode(SweepTrailer{Stats: rec.stats})
+			rec.mu.Unlock()
+			if !bytes.Equal(body, want.Bytes()) {
+				t.Fatalf("sweep body differs from the reflection encoding at %s", firstDiff(body, want.Bytes()))
+			}
+			if tt.name == "partial-and-invalid" && (!bytes.Contains(body, []byte(`"partial":true`)) || !bytes.Contains(body, []byte(`\u003cround 2\u003e \u0026`))) {
+				t.Errorf("fault markers missing from the body: %.400s", body)
+			}
+		})
+	}
+}
+
+// TestJobStatusBytesMatchReflection pins the GET /v1/jobs/{id} body, which
+// the envelope codec writes, to what writeJSON writes for a JobStatus whose
+// Results encoding/json encodes by reflection: a batch of torus flood,
+// BV4, RGG, custom and traced elements, a within-batch duplicate, a
+// deadline-cut partial element and a failed element whose error
+// encoding/json escapes; a second batch served from the cache; and a
+// running job with no results.
+func TestJobStatusBytesMatchReflection(t *testing.T) {
+	var rec recordedRuns
+	release := make(chan struct{})
+	srv := New(Options{BatchRunner: func(jobs []rbcast.Job, opts rbcast.BatchOptions) []rbcast.BatchResult {
+		if jobs[0].Plan.Seed == 99 {
+			<-release
+		}
+		out := rbcast.RunBatch(jobs, opts)
+		rec.record(jobs, out)
+		return out
+	}})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	type jobResult struct {
+		Fingerprint string           `json:"fingerprint"`
+		Result      *reflectedResult `json:"result,omitempty"`
+		Error       string           `json:"error,omitempty"`
+		Cached      bool             `json:"cached,omitempty"`
+		Partial     bool             `json:"partial,omitempty"`
+	}
+	type jobStatus struct {
+		ID      string      `json:"id"`
+		State   string      `json:"state"`
+		Jobs    int         `json:"jobs"`
+		Results []jobResult `json:"results,omitempty"`
+	}
+	check := func(t *testing.T, id string, want jobStatus) {
+		t.Helper()
+		resp, body := getBody(t, ts, "/v1/jobs/"+id)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("status %d, Content-Type %q: %s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
+		}
+		wantBody, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantBody = append(wantBody, '\n')
+		if !bytes.Equal(body, wantBody) {
+			t.Fatalf("job body differs from the reflection encoding:\n got  %.400s\n want %.400s", body, wantBody)
+		}
+	}
+	cases := envelopeCases()
+	names := []string{"torus-flood", "bv4", "rgg", "custom", "traced", "torus-flood", "partial", "invalid"}
+	first := make([]RunRequest, len(names))
+	for i, name := range names {
+		first[i] = RunRequest{Config: cases[name].Config, Plan: cases[name].Plan}
+	}
+	second := []RunRequest{first[0], first[1]}
+
+	t.Run("running", func(t *testing.T) {
+		blocked := testScenario()
+		blocked.Plan.Seed = 99
+		ack := submitBatch(t, ts, []RunRequest{blocked})
+		check(t, ack.ID, jobStatus{ID: ack.ID, State: "running", Jobs: 1})
+		close(release)
+		pollJob(t, ts, ack.ID)
+	})
+	for _, batch := range []struct {
+		name string
+		reqs []RunRequest
+	}{{"fresh", first}, {"cached", second}} {
+		t.Run(batch.name, func(t *testing.T) {
+			ack := submitBatch(t, ts, batch.reqs)
+			pollJob(t, ts, ack.ID)
+			want := jobStatus{ID: ack.ID, State: "done", Jobs: len(batch.reqs)}
+			seen := map[string]bool{}
+			for _, req := range batch.reqs {
+				fp := rbcast.Job{Config: req.Config, Plan: req.Plan}.Fingerprint()
+				cached := batch.name == "cached" || seen[fp]
+				seen[fp] = true
+				el := jobResult{Fingerprint: fp, Cached: cached}
+				el.Result, el.Error, el.Partial = rec.element(fp, batch.name == "cached")
+				want.Results = append(want.Results, el)
+			}
+			check(t, ack.ID, want)
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	rbcast "repro"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // SweepRequest is the /v1/sweep payload: a base scenario plus axes. The
@@ -180,17 +181,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	encSp := tr.Start(root, "encode")
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	// Element lines go through the envelope codec, header and trailer
+	// through encoding/json. A line that fails to encode is left out.
 	flusher, _ := w.(http.Flusher)
-	writeLine := func(v any) {
-		if enc.Encode(v) == nil && flusher != nil {
-			flusher.Flush()
+	writeLine := func(line []byte, err error) {
+		if err == nil {
+			w.Write(append(line, '\n'))
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
-	writeLine(SweepHeader{Elements: len(elements)})
+	writeLine(json.Marshal(SweepHeader{Elements: len(elements)}))
+	var line []byte
 	for i := range results {
-		writeLine(results[i])
+		var err error
+		line, err = wire.AppendElement(line[:0], (*wire.Element)(&results[i]), true)
+		writeLine(line, err)
 	}
-	writeLine(SweepTrailer{Stats: stats})
+	writeLine(json.Marshal(SweepTrailer{Stats: stats}))
 	tr.End(encSp)
 }

@@ -169,10 +169,14 @@ type Config struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// validate rejects invalid public options up front, so every
+// Validate rejects invalid public options up front, so every
 // misconfiguration surfaces as an rbcast error instead of one from an
-// internal layer — or, worse, silently skewed results.
-func (c Config) validate() error {
+// internal layer — or, worse, silently skewed results. It checks the
+// Config alone, before any network is built: Run validates first and
+// rejects with the same error, and may still reject a Config that passes
+// for what only the built network shows (a custom graph's edges, the
+// quorum protocols' N ≥ 3T+1, the source's position).
+func (c Config) Validate() error {
 	if err := c.validateTopology(); err != nil {
 		return err
 	}
@@ -305,7 +309,7 @@ type prepared struct {
 // shared front half of every execution path; errors here mean the scenario
 // was rejected (zero Result), never truncated.
 func prepare(cfg Config, plan FaultPlan) (prepared, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return prepared{}, err
 	}
 	net, err := cfg.network()

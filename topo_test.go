@@ -67,7 +67,7 @@ func TestValidateTopologyRejectsFamilyMismatches(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			cfg := tt.base()
 			tt.mutate(&cfg)
-			err := cfg.validate()
+			err := cfg.Validate()
 			if err == nil {
 				t.Fatal("mismatched config validated")
 			}
@@ -84,18 +84,18 @@ func TestValidateTopologyRejectsFamilyMismatches(t *testing.T) {
 // every family, including the zero-value torus alias.
 func TestValidateTopologyAcceptsEachFamily(t *testing.T) {
 	zero := Config{Width: 10, Height: 10, Radius: 1, Protocol: ProtocolFlood, Value: 1}
-	if err := zero.validate(); err != nil {
+	if err := zero.Validate(); err != nil {
 		t.Errorf("zero-topology torus config: %v", err)
 	}
 	explicit := zero
 	explicit.Topology = TopologyTorus
-	if err := explicit.validate(); err != nil {
+	if err := explicit.Validate(); err != nil {
 		t.Errorf("explicit torus config: %v", err)
 	}
-	if err := rggConfig().validate(); err != nil {
+	if err := rggConfig().Validate(); err != nil {
 		t.Errorf("rgg config: %v", err)
 	}
-	if err := customConfig().validate(); err != nil {
+	if err := customConfig().Validate(); err != nil {
 		t.Errorf("custom config: %v", err)
 	}
 }
