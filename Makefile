@@ -92,18 +92,20 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 1
 
-# bench runs the full canonical scenario matrix and writes BENCH_3.json
-# (see PERFORMANCE.md for the methodology and field meanings).
+# bench runs the full canonical scenario matrix and writes BENCH_$(PR).json
+# for the change it measures (`make bench PR=N`), leaving earlier
+# reports alone (see PERFORMANCE.md for the methodology and field meanings).
 bench:
-	$(GO) run ./cmd/bench -out BENCH_3.json
+	@test -n "$(PR)" || { echo "make bench: name the report, e.g. make bench PR=N for BENCH_N.json" >&2; exit 2; }
+	$(GO) run ./cmd/bench -out BENCH_$(PR).json
 
 # bench-smoke runs every scenario once and checks its result fingerprint
 # against testdata/results.golden — the fast correctness gate in `verify`.
 bench-smoke:
 	$(GO) run ./cmd/bench -smoke
 
-# bench-sweep times the incremental sweep engine against element-by-element
-# RunBatch on the canonical sweep workloads, checks every element hash for
+# bench-sweep times the incremental sweep engine against an element-by-element
+# RunContext loop on the canonical sweep workloads, checks every element hash for
 # byte-identity, and fails below a 2x node-round (or wall) speedup. See
 # PERFORMANCE.md for the current numbers.
 bench-sweep:

@@ -2,12 +2,8 @@ package rbcast
 
 import (
 	"context"
-	"runtime/debug"
 	"sync"
 	"time"
-
-	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Job pairs one scenario with its adversary for batch execution. Its
@@ -26,8 +22,8 @@ type BatchResult struct {
 	Result Result
 	// Err captures the job's own failure: an invalid config, a cancelled
 	// or expired context (wrapping ErrDeadline), or a panic (a
-	// *PanicError carrying the stack). One failing job never affects the
-	// others.
+	// *PanicError carrying the stack). A failure reaches only the jobs of
+	// its own execution unit.
 	Err error
 }
 
@@ -35,40 +31,39 @@ type BatchResult struct {
 // delivered through BatchOptions.Progress. Snapshots are cumulative and
 // monotone: each reflects all work settled so far.
 type ProgressUpdate struct {
-	// Done counts jobs (sweep: elements) resolved so far; Total is the
-	// batch size.
+	// Done counts jobs resolved so far; Total is the batch size.
 	Done, Total int
 	// NodeRounds is the simulated work performed so far: Σ rounds ×
 	// network size over completed executions.
 	NodeRounds int64
-	// SharedResults counts elements resolved by sharing another
-	// element's execution instead of simulating (sweeps only; always 0
-	// for RunBatch, whose callers deduplicate upstream).
+	// SharedResults counts jobs resolved by sharing another job's
+	// execution instead of simulating.
 	SharedResults int
 }
 
-// BatchOptions configures RunBatch. The zero value runs with GOMAXPROCS
-// workers, no cancellation and no per-job deadline.
+// BatchOptions configures RunBatch and RunSweepJobs. The zero value runs
+// with GOMAXPROCS workers, no cancellation and no deadline.
 type BatchOptions struct {
 	// Workers caps the worker pool; ≤ 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Context optionally cancels the batch: jobs not yet started when it
-	// is done complete immediately with Err = Context.Err(), and jobs in
-	// flight stop at their next round boundary with a partial Result and
-	// an Err wrapping ErrDeadline. It also carries the optional request
-	// trace (internal/obs): when armed, workers record per-job spans
-	// under the span the context names.
+	// Context optionally cancels the batch: jobs whose execution unit has
+	// not started when it is done complete immediately with Err =
+	// Context.Err(), and units in flight stop at their next round
+	// boundary with partial Results and an Err wrapping ErrDeadline. It
+	// also carries the optional request trace (internal/obs): when armed,
+	// workers record per-unit spans under the span the context names.
 	Context context.Context
-	// JobTimeout optionally bounds each job's wall-clock time,
-	// independent of Config.MaxRounds. A job that exceeds it stops at the
-	// next round boundary with a partial Result and an Err wrapping
-	// ErrDeadline; its siblings are unaffected. ≤ 0 means no bound.
+	// JobTimeout optionally bounds each execution unit's wall-clock time
+	// (one shared execution, or a whole crash-round fork family),
+	// independent of Config.MaxRounds. A unit that exceeds it stops at the
+	// next round boundary with partial Results and an Err wrapping
+	// ErrDeadline for each of its jobs; other units are unaffected. ≤ 0
+	// means no bound.
 	JobTimeout time.Duration
 	// Progress, when non-nil, receives a cumulative ProgressUpdate after
-	// each job (sweep: execution unit) settles. Calls are serialized and
-	// snapshots monotone, so callers can publish them directly; the
-	// callback must be fast — it runs on the worker that finished the
-	// job.
+	// each execution unit settles. Calls are serialized and snapshots
+	// monotone, so callers can publish them directly; the callback must
+	// be fast — it runs on the worker that finished the unit.
 	Progress func(ProgressUpdate)
 }
 
@@ -103,75 +98,21 @@ func (p *progressTracker) add(done int, nodeRounds int64, shared int) {
 	p.fn(up)
 }
 
-// resultNodeRounds books one completed execution's simulated work.
-func resultNodeRounds(res Result) int64 {
-	return int64(res.Rounds) * int64(len(res.Decisions))
-}
-
-// batchJobDispatched, when non-nil, runs with each job's index after the
-// pool hands the job to a worker and before the job's cancellation check.
-// It is a test seam: cancelling the batch context inside it models
-// cancellation arriving in the dispatch-to-start window and makes the
-// resulting split — finished jobs keep results, later jobs are marked
-// cancelled — deterministic under Workers=1.
-var batchJobDispatched func(i int)
-
-// RunBatch executes the jobs across a bounded worker pool and returns one
-// result per job, in job order — the output is identical to calling Run in
-// a loop, independent of worker count and scheduling. Scenario runs are
-// pure CPU work on disjoint state, so throughput scales with cores; this is
-// the substrate the threshold sweeps, experiment drivers and the rbcastd
-// batch endpoint fan out on.
+// RunBatch executes the jobs and returns one result per job, in job order —
+// each byte-identical (Metrics.Wall aside) to calling Run on that job,
+// independent of worker count and scheduling. It is RunSweepJobs without
+// the statistics: jobs that share an execution (dead parameters, crash
+// rounds past a trunk's horizon, wavefront-prefix forks) are simulated
+// once, and such jobs share one Result value, so treat results as
+// read-only. This is the substrate the threshold sweeps, experiment drivers
+// and the rbcastd batch endpoint fan out on.
 //
-// RunBatch bounds the damage any one job can do: a panicking job fails
-// with a *PanicError instead of crashing the process, and a job that
-// exceeds JobTimeout (or an expired batch Context) fails with ErrDeadline,
-// in both cases leaving every sibling to complete normally.
+// RunBatch bounds the damage any one execution can do: a panic fails the
+// jobs of that execution unit with a *PanicError instead of crashing the
+// process, and a unit that exceeds JobTimeout (or an expired batch
+// Context) fails with ErrDeadline, in both cases leaving every other unit
+// to complete normally.
 func RunBatch(jobs []Job, opts BatchOptions) []BatchResult {
-	results := make([]BatchResult, len(jobs))
-	ctx := opts.Context
-	tracker := newProgressTracker(opts.Progress, len(jobs))
-	tr, parent := obs.SpanFromContext(ctx)
-	pool.Run(opts.Workers, len(jobs), func(i int) {
-		// The progress fold sits in a defer so the panic path reports the
-		// job as done too — a watcher must reach Done == Total even when
-		// elements fail.
-		defer func() {
-			if r := recover(); r != nil {
-				results[i] = BatchResult{Err: &PanicError{Index: i, Value: r, Stack: debug.Stack()}}
-			}
-			tracker.add(1, resultNodeRounds(results[i].Result), 0)
-		}()
-		if hook := batchJobDispatched; hook != nil {
-			hook(i)
-		}
-		// The check sits immediately before the run so cancellation
-		// arriving any time up to job start is observed without paying for
-		// a run that is already unwanted; cancellation after the start is
-		// the engines' round-boundary check.
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				results[i].Err = ctx.Err()
-				return
-			default:
-			}
-		}
-		jobCtx := ctx
-		if jobCtx == nil {
-			jobCtx = context.Background()
-		}
-		if opts.JobTimeout > 0 {
-			var cancel context.CancelFunc
-			jobCtx, cancel = context.WithTimeout(jobCtx, opts.JobTimeout)
-			defer cancel()
-		}
-		sp := tr.Start(parent, "job")
-		res, err := RunContext(jobCtx, jobs[i].Config, jobs[i].Plan)
-		tr.AnnotateInt(sp, "index", int64(i))
-		tr.AnnotateInt(sp, "rounds", int64(res.Rounds))
-		tr.End(sp)
-		results[i] = BatchResult{Result: res, Err: err}
-	})
+	results, _ := RunSweepJobs(jobs, opts)
 	return results
 }

@@ -109,44 +109,32 @@ func TestRunBatchCancelledContext(t *testing.T) {
 	}
 }
 
-// TestRunBatchMidBatchCancellation cancels the context in the window
-// between a job's dispatch and its start, via the batchJobDispatched seam,
-// with Workers=1 so dispatch order is the job order. The split must be
-// exact: jobs finished before the cancellation keep their results, the job
-// whose dispatch triggered it and everything after are marked
-// context.Canceled.
+// TestRunBatchMidBatchCancellation cancels the context from the Progress
+// callback once unit 1 has settled, with Workers=1 so units run in order.
+// The split must be exact: units 0 and 1 (the BV4 scenario and the whole
+// fork family) keep their results, and unit 2 is marked context.Canceled
+// without running.
 func TestRunBatchMidBatchCancellation(t *testing.T) {
-	const cancelAt = 2
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	batchJobDispatched = func(i int) {
-		if i == cancelAt {
-			cancel()
+	jobs := unitJobs()
+	const settled = 4 // elements in units 0 and 1
+	for name, run := range batchEntryPoints {
+		ctx, cancel := context.WithCancel(context.Background())
+		results := run(jobs, BatchOptions{Workers: 1, Context: ctx, Progress: func(up ProgressUpdate) {
+			if up.Done == settled {
+				cancel()
+			}
+		}})
+		cancel()
+		for i, r := range results[:settled] {
+			requireMatchesRun(t, i, jobs[i], r)
 		}
-	}
-	defer func() { batchJobDispatched = nil }()
-
-	jobs := sweepJobs()[:5]
-	results := RunBatch(jobs, BatchOptions{Workers: 1, Context: ctx})
-	for i, r := range results[:cancelAt] {
-		if r.Err != nil {
-			t.Errorf("job %d finished before cancellation but has err %v", i, r.Err)
-			continue
-		}
-		want, err := Run(jobs[i].Config, jobs[i].Plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(stripWall(r.Result), stripWall(want)) {
-			t.Errorf("job %d: completed result lost after cancellation", i)
-		}
-	}
-	for i, r := range results[cancelAt:] {
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Errorf("job %d: err = %v, want context.Canceled", cancelAt+i, r.Err)
-		}
-		if r.Result.Honest != 0 || r.Result.Decisions != nil {
-			t.Errorf("job %d: cancelled job carries a result", cancelAt+i)
+		for i, r := range results[settled:] {
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Errorf("%s: element %d: err = %v, want context.Canceled", name, settled+i, r.Err)
+			}
+			if r.Result.Honest != 0 || r.Result.Decisions != nil {
+				t.Errorf("%s: element %d: cancelled element carries a result", name, settled+i)
+			}
 		}
 	}
 }

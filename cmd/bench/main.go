@@ -6,10 +6,10 @@
 //
 // Modes:
 //
-//	bench                       # full run → BENCH_3.json
+//	bench -out BENCH_N.json     # full run → report file (default stdout)
 //	bench -smoke                # one run per scenario, golden-hash check only
 //	bench -against FILE         # full run, fail on >threshold% alloc regression
-//	bench -sweep                # sweep workload: RunSweep vs RunBatch, gated ≥2x
+//	bench -sweep                # sweep workload: RunSweep vs scalar runs, gated ≥2x
 //
 // The -smoke mode is wired into `make verify`; scripts/benchdiff.sh wraps
 // -against with the committed baseline. Timing (ns_op) is machine-dependent
@@ -19,6 +19,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"time"
 
 	rbcast "repro"
+	"repro/internal/pool"
 	"repro/internal/scenarios"
 )
 
@@ -91,12 +93,12 @@ type scenarioReport struct {
 }
 
 func main() {
-	out := flag.String("out", "BENCH_3.json", "output path for the JSON report (\"-\" = stdout)")
+	out := flag.String("out", "-", "output path for the JSON report (\"-\" = stdout)")
 	smoke := flag.Bool("smoke", false, "run each scenario once and only verify golden hashes")
 	golden := flag.String("golden", "testdata/results.golden", "golden hash file for -smoke")
 	against := flag.String("against", "", "baseline JSON report to compare allocations against")
 	threshold := flag.Float64("threshold", 10, "allowed allocs_op regression vs -against, in percent")
-	sweep := flag.Bool("sweep", false, "run the sweep workload: RunSweep vs RunBatch on a crash-round grid")
+	sweep := flag.Bool("sweep", false, "run the sweep workload: RunSweep vs element-by-element runs on a crash-round grid")
 	minSpeedup := flag.Float64("min-speedup", 2, "minimum node-round (or wall-clock) ratio the sweep workload must achieve")
 	flag.Parse()
 
@@ -199,8 +201,10 @@ func sweepWorkloads() []struct {
 	}
 }
 
-// runSweepBench measures the incremental sweep engine against scalar
-// RunBatch on the same grids: per-element results must match exactly, and
+// runSweepBench measures the incremental sweep engine against a scalar
+// reference — every element run on its own through RunContext on the
+// internal/pool worker pool — on the same grids: per-element results must
+// match exactly, and
 // the simulated node-round reduction (or, failing that, wall clock) must
 // reach minSpeedup. This is the performance gate for the sweep engine.
 func runSweepBench(minSpeedup float64) error {
@@ -210,14 +214,17 @@ func runSweepBench(minSpeedup float64) error {
 			return fmt.Errorf("%s: %v", wl.name, err)
 		}
 		batchStart := time.Now()
-		batch := rbcast.RunBatch(jobs, rbcast.BatchOptions{})
+		batch := make([]rbcast.BatchResult, len(jobs))
+		pool.Run(0, len(jobs), func(i int) {
+			batch[i].Result, batch[i].Err = rbcast.RunContext(context.Background(), jobs[i].Config, jobs[i].Plan)
+		})
 		batchWall := time.Since(batchStart)
 		sweepStart := time.Now()
 		swept, stats := rbcast.RunSweepJobs(jobs, rbcast.BatchOptions{})
 		sweepWall := time.Since(sweepStart)
 		for i := range jobs {
 			if batch[i].Err != nil || swept[i].Err != nil {
-				return fmt.Errorf("%s[%d]: batch err %v, sweep err %v", wl.name, i, batch[i].Err, swept[i].Err)
+				return fmt.Errorf("%s[%d]: scalar err %v, sweep err %v", wl.name, i, batch[i].Err, swept[i].Err)
 			}
 			bh, err := scenarios.ResultHash(batch[i].Result)
 			if err != nil {

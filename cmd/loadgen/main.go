@@ -345,10 +345,27 @@ func phaseSweep(ctx context.Context, retrying *client.Client) {
 func phaseBusyShed(ctx context.Context, noRetry, retrying *client.Client) {
 	slow := slowScenario()
 	slowDone := make(chan error, 1)
-	go func() {
-		_, err := noRetry.Run(ctx, slow.Config, slow.Plan)
-		slowDone <- err
-	}()
+	startSlow := func() {
+		go func() {
+			_, err := noRetry.Run(ctx, slow.Config, slow.Plan)
+			slowDone <- err
+		}()
+	}
+	startSlow()
+	// Probe only once the slow run holds the slot: an earlier probe could
+	// take the slot itself and get the slow run shed instead. A slow run
+	// that was shed anyway is resubmitted.
+	for inflightRuns(ctx, noRetry) < 1 {
+		select {
+		case err := <-slowDone:
+			var se *client.StatusError
+			if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
+				log.Fatalf("FAIL: slow run ended before it was seen in flight: %v", err)
+			}
+			startSlow()
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
 
 	// Probe until the saturated daemon sheds one. The slow run holds the
 	// slot for hundreds of milliseconds minimum and each probe is
@@ -403,6 +420,20 @@ probing:
 	default:
 		log.Fatalf("FAIL: slow run ended indefinitely: %v", err)
 	}
+}
+
+// inflightRuns reads the daemon's rbcastd_inflight_runs gauge.
+func inflightRuns(ctx context.Context, c *client.Client) int {
+	metrics, err := c.Metrics(ctx)
+	if err != nil {
+		log.Fatalf("FAIL: /metrics: %v", err)
+	}
+	m := regexp.MustCompile(`rbcastd_inflight_runs (\d+)`).FindStringSubmatch(metrics)
+	if m == nil {
+		log.Fatal("FAIL: rbcastd_inflight_runs missing from /metrics")
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
 }
 
 // phaseQueueBackpressure fills the depth-1 batch queue with a slow batch,

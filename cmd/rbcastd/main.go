@@ -1,8 +1,8 @@
 // Command rbcastd is the long-running scenario-serving daemon: an
 // HTTP/JSON front-end over the rbcast library with a fingerprint-keyed
 // result cache, single-flight deduplication of identical scenarios,
-// asynchronous batch jobs on the RunBatch worker pool, and Prometheus
-// observability.
+// asynchronous batch jobs and sweeps on the incremental sweep engine, and
+// Prometheus observability.
 //
 //	rbcastd -addr :8080 -cache 1024 -workers 0 \
 //	        -queue-depth 1024 -max-inflight 8 -job-timeout 30s
@@ -10,10 +10,11 @@
 // The daemon bounds the damage any one request or job can do: the batch
 // queue is bounded (-queue-depth; full submissions shed with 429 +
 // Retry-After), concurrent execution is bounded (-max-inflight; saturated
-// sync runs shed with 429 while accepted batch jobs wait), each scenario's
-// wall clock is bounded (-job-timeout; an over-budget run fails
-// individually with a partial result), and a panicking scenario fails its
-// own job instead of the process.
+// sync runs shed with 429 while accepted batch jobs wait), each
+// execution's wall clock is bounded (-job-timeout; an over-budget run
+// fails with a partial result — in batches and sweeps per execution unit,
+// one shared execution or a whole crash-round fork family), and a
+// panicking scenario fails its own job instead of the process.
 //
 // Endpoints: POST /v1/run, POST /v1/batch, POST /v1/sweep,
 // GET /v1/jobs/{id}, GET /v1/jobs/{id}/trace, GET /v1/jobs/{id}/events,
@@ -122,7 +123,7 @@ func main() {
 		maxJobs     = flag.Int("max-jobs", 4096, "retained batch jobs before the oldest finished are dropped")
 		queueDepth  = flag.Int("queue-depth", 1024, "batch jobs accepted but unfinished before submissions shed with 429")
 		maxInflight = flag.Int("max-inflight", 0, "concurrently executing jobs before sync runs shed with 429 (<=0 means unbounded)")
-		jobTimeout  = flag.Duration("job-timeout", 0, "wall-clock bound per scenario execution; over it a run fails with a partial result (0 disables)")
+		jobTimeout  = flag.Duration("job-timeout", 0, "wall-clock bound per execution (batch and sweep: per execution unit); over it a run fails with a partial result (0 disables)")
 		flightRec   = flag.Int("flight-recorder", 256, "request timelines retained for GET /debug/requests (0 disables span tracing)")
 		slowReq     = flag.Duration("slow-request", 0, "log a WARN line with the per-phase span breakdown for requests at or over this duration (0 disables)")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight work")

@@ -3,6 +3,7 @@ package rbcast
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -95,34 +96,83 @@ func TestRunBatchJobTimeout(t *testing.T) {
 	}
 }
 
-func TestRunBatchPanicIsolation(t *testing.T) {
-	cfg, plan := deadlineScenario()
-	jobs := []Job{{Config: cfg, Plan: plan}, {Config: cfg, Plan: plan}, {Config: cfg, Plan: plan}}
+// batchEntryPoints are the two public executors; both run on the sweep
+// engine's unit loop, so every unit-level guarantee holds for each.
+var batchEntryPoints = map[string]func([]Job, BatchOptions) []BatchResult{
+	"RunBatch": RunBatch,
+	"RunSweepJobs": func(jobs []Job, opts BatchOptions) []BatchResult {
+		out, _ := RunSweepJobs(jobs, opts)
+		return out
+	},
+}
 
-	// The dispatch hook runs inside each worker's recover scope, so a
-	// panic here is indistinguishable from a panicking scenario.
-	batchJobDispatched = func(i int) {
-		if i == 1 {
+// unitJobs is a grid of three execution units: a BV4 scenario (unit 0), a
+// flood crash-round fork family over elements 1–3 (unit 1) and a CPA
+// scenario (unit 2).
+func unitJobs() []Job {
+	cfg, plan := deadlineScenario()
+	family := Job{
+		Config: Config{Width: 16, Height: 12, Radius: 1, Protocol: ProtocolFlood, Value: 1},
+		Plan:   FaultPlan{Placement: PlaceBand, Strategy: StrategyCrash},
+	}
+	jobs := []Job{{Config: cfg, Plan: plan}}
+	for _, cr := range []int{1, 2, 3} {
+		j := family
+		j.Plan.CrashRound = cr
+		jobs = append(jobs, j)
+	}
+	cpa := cfg
+	cpa.Protocol = ProtocolCPA
+	return append(jobs, Job{Config: cpa, Plan: plan})
+}
+
+// requireMatchesRun asserts the element completed exactly as an
+// independent Run of its job.
+func requireMatchesRun(t *testing.T, i int, job Job, got BatchResult) {
+	t.Helper()
+	if got.Err != nil {
+		t.Errorf("element %d: unexpected err %v", i, got.Err)
+		return
+	}
+	want, err := Run(job.Config, job.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweepHash(t, got.Result) != sweepHash(t, want) {
+		t.Errorf("element %d: result diverges from an independent Run", i)
+	}
+}
+
+// TestRunBatchPanicIsolation panics inside the fork family's unit: every
+// element of that unit fails with its own *PanicError, and the units
+// around it complete as independent runs would.
+func TestRunBatchPanicIsolation(t *testing.T) {
+	jobs := unitJobs()
+	// The dispatch hook runs inside each unit's recover scope, so a panic
+	// here is indistinguishable from a panicking scenario.
+	unitDispatched = func(unit int) {
+		if unit == 1 {
 			panic("synthetic job bug")
 		}
 	}
-	defer func() { batchJobDispatched = nil }()
+	defer func() { unitDispatched = nil }()
 
-	out := RunBatch(jobs, BatchOptions{})
-	var pe *PanicError
-	if !errors.As(out[1].Err, &pe) {
-		t.Fatalf("job 1 error = %v, want *PanicError", out[1].Err)
-	}
-	if pe.Index != 1 || pe.Value != "synthetic job bug" || len(pe.Stack) == 0 {
-		t.Errorf("PanicError = index %d value %v stack %d bytes", pe.Index, pe.Value, len(pe.Stack))
-	}
-	if !strings.Contains(pe.Error(), "job 1 panicked") {
-		t.Errorf("PanicError message = %q", pe.Error())
-	}
-	for _, i := range []int{0, 2} {
-		if out[i].Err != nil || !out[i].Result.Quiesced {
-			t.Errorf("sibling job %d damaged by the panic: err=%v quiesced=%v",
-				i, out[i].Err, out[i].Result.Quiesced)
+	for name, run := range batchEntryPoints {
+		out := run(jobs, BatchOptions{})
+		for _, i := range []int{1, 2, 3} {
+			var pe *PanicError
+			if !errors.As(out[i].Err, &pe) {
+				t.Fatalf("%s: element %d error = %v, want *PanicError", name, i, out[i].Err)
+			}
+			if pe.Index != i || pe.Value != "synthetic job bug" || len(pe.Stack) == 0 {
+				t.Errorf("%s: PanicError = index %d value %v stack %d bytes", name, pe.Index, pe.Value, len(pe.Stack))
+			}
+			if want := fmt.Sprintf("job %d panicked", i); !strings.Contains(pe.Error(), want) {
+				t.Errorf("%s: PanicError message = %q, want %q", name, pe.Error(), want)
+			}
+		}
+		for _, i := range []int{0, 4} {
+			requireMatchesRun(t, i, jobs[i], out[i])
 		}
 	}
 }

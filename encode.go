@@ -835,7 +835,11 @@ func canonicalEdges(edges [][2]int) string {
 }
 
 // canonicalFloat renders a float exactly (hexadecimal mantissa/exponent),
-// immune to decimal rounding differences.
+// immune to decimal rounding differences. −0 renders as 0: every float
+// field treats the two alike, so they share one fingerprint.
 func canonicalFloat(f float64) string {
+	if f == 0 {
+		f = 0
+	}
 	return strconv.FormatFloat(f, 'x', -1, 64)
 }

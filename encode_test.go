@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -348,6 +349,10 @@ func TestFingerprintFieldOrderIndependence(t *testing.T) {
 	}
 }
 
+// negativeZero is IEEE −0, which JSON spells "-0"; the Go literal -0.0 is
+// +0.
+var negativeZero = math.Copysign(0, -1)
+
 func TestFingerprintZeroValueAliases(t *testing.T) {
 	base := Config{Width: 16, Height: 10, Radius: 1, Protocol: ProtocolFlood, Value: 1}
 	aliases := []struct {
@@ -369,10 +374,22 @@ func TestFingerprintZeroValueAliases(t *testing.T) {
 		{"strategy 0 ≡ crash",
 			Job{Config: base, Plan: FaultPlan{Placement: PlaceBand}},
 			Job{Config: base, Plan: FaultPlan{Placement: PlaceBand, Strategy: StrategyCrash}}},
+		{"loss_rate -0 ≡ 0",
+			Job{Config: base},
+			Job{Config: func() Config { c := base; c.LossRate = negativeZero; return c }()}},
+		{"probability -0 ≡ 0",
+			Job{Config: base, Plan: FaultPlan{Placement: PlacePercolation}},
+			Job{Config: base, Plan: FaultPlan{Placement: PlacePercolation, Probability: negativeZero}}},
+		{"rgg_radius -0 ≡ 0",
+			Job{Config: Config{Topology: TopologyRGG, Nodes: 64, Protocol: ProtocolFlood, Value: 1}},
+			Job{Config: Config{Topology: TopologyRGG, Nodes: 64, RGGRadius: negativeZero, Protocol: ProtocolFlood, Value: 1}}},
 	}
 	for _, tt := range aliases {
 		if fa, fb := tt.a.Fingerprint(), tt.b.Fingerprint(); fa != fb {
 			t.Errorf("%s: fingerprints differ (%s vs %s)", tt.name, fa, fb)
+		}
+		if ka, kb := tt.a.executionKey(), tt.b.executionKey(); ka != kb {
+			t.Errorf("%s: execution keys differ:\n%s\n%s", tt.name, ka, kb)
 		}
 	}
 }
@@ -466,6 +483,12 @@ func TestFingerprintGolden(t *testing.T) {
 		{"bracha-auth-rgg", Job{
 			Config: Config{Topology: TopologyRGG, Nodes: 32, RGGRadius: 0.3, TopologySeed: 2, Protocol: ProtocolBrachaAuth, T: 2, Value: 1, MaxRounds: 128},
 			Plan:   FaultPlan{Placement: PlaceRandomBounded, Strategy: StrategySilent, Count: 2, Seed: 4},
+		}},
+		// Every float field spelled −0: the fingerprint of the same job
+		// with +0 (TestFingerprintZeroValueAliases holds them equal).
+		{"negative-zero-floats", Job{
+			Config: Config{Topology: TopologyRGG, Nodes: 64, RGGRadius: negativeZero, TopologySeed: 1, Protocol: ProtocolCPA, T: 1, Value: 1, LossRate: negativeZero},
+			Plan:   FaultPlan{Placement: PlacePercolation, Probability: negativeZero, Seed: 3},
 		}},
 	}
 	var b strings.Builder

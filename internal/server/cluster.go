@@ -246,9 +246,14 @@ func (s *Server) probePeer(peer, fp string) (rbcast.Result, bool, error) {
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-		data, err := io.ReadAll(resp.Body)
+		// The daemon's own body cap bounds what a sibling can make it
+		// buffer; an answer past it is a misbehaving peer.
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 		if err != nil {
 			return rbcast.Result{}, false, fmt.Errorf("reading cache probe from %s: %w", peer, err)
+		}
+		if len(data) > maxBodyBytes {
+			return rbcast.Result{}, false, fmt.Errorf("peer %s answered a cache probe over %d bytes", peer, maxBodyBytes)
 		}
 		var rr RunResponse
 		var ok bool

@@ -405,13 +405,13 @@ func TestValidateCluster(t *testing.T) {
 	}
 }
 
-// TestClusterPeerFillRejectsWrongFingerprint: a sibling that answers a
-// cache probe with another scenario's fingerprint is a peer error, not a
-// fill. The owner counts it, moves on to the next sibling in ring order,
-// and fills from the one that answers for the probed fingerprint.
-func TestClusterPeerFillRejectsWrongFingerprint(t *testing.T) {
+// handBuiltFleet reserves three listeners whose handlers the test installs
+// with serve, and picks a scenario the first one owns. order lists the two
+// siblings in the owner's probe order.
+func handBuiltFleet(t *testing.T) (urls []string, req RunRequest, fp string, order []string, serve func(url string, h http.Handler)) {
+	t.Helper()
 	lns := make([]net.Listener, 3)
-	urls := make([]string, 3)
+	urls = make([]string, 3)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -424,20 +424,24 @@ func TestClusterPeerFillRejectsWrongFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req RunRequest
-	var fp string
 	for h := 0; fp == "" || ring.Owner(fp) != urls[0]; h++ {
 		req = otherScenario(h)
 		fp = rbcast.Job{Config: req.Config, Plan: req.Plan}.Fingerprint()
 	}
-	// Ring order after the owner: the first sibling misbehaves, the second
-	// holds the right result.
-	order := ring.Successors(fp, 3)[1:]
-	serve := func(url string, h http.Handler) {
+	serve = func(url string, h http.Handler) {
 		hs := &http.Server{Handler: h}
 		go hs.Serve(lns[slices.Index(urls, url)])
 		t.Cleanup(func() { hs.Close() })
 	}
+	return urls, req, fp, ring.Successors(fp, 3)[1:], serve
+}
+
+// TestClusterPeerFillRejectsWrongFingerprint: a sibling that answers a
+// cache probe with another scenario's fingerprint is a peer error, not a
+// fill. The owner counts it, moves on to the next sibling in ring order,
+// and fills from the one that answers for the probed fingerprint.
+func TestClusterPeerFillRejectsWrongFingerprint(t *testing.T) {
+	urls, req, fp, order, serve := handBuiltFleet(t)
 	wrong := otherScenario(100)
 	wrongRes, err := rbcast.Run(wrong.Config, wrong.Plan)
 	if err != nil {
@@ -476,6 +480,49 @@ func TestClusterPeerFillRejectsWrongFingerprint(t *testing.T) {
 		t.Errorf("owner simulated %d times despite a sibling holding the result", n)
 	}
 	for outcome, want := range map[string]int{"error": 1, "hit": 1, "miss": 0} {
+		if got := metricValue(t, urls[0], `rbcastd_peer_cache_fill_total\{outcome="`+outcome+`"\} (\d+)`); got != want {
+			t.Errorf("fill %s counter = %d, want %d", outcome, got, want)
+		}
+	}
+}
+
+// TestClusterPeerFillBoundsBody: a sibling whose cache-probe answer runs
+// past the daemon's body cap is a peer error even when the bytes would
+// decode — here a valid answer padded with whitespace. The owner counts it,
+// probes the next sibling (a clean miss) and executes locally.
+func TestClusterPeerFillBoundsBody(t *testing.T) {
+	urls, req, fp, order, serve := handBuiltFleet(t)
+	res, err := rbcast.Run(req.Config, req.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(RunResponse{Fingerprint: fp, Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(order[0], http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+		pad := bytes.Repeat([]byte{' '}, 64<<10)
+		for left := maxBodyBytes + 1 - len(body); left > 0; left -= len(pad) {
+			w.Write(pad[:min(left, len(pad))])
+		}
+	}))
+	serve(order[1], New(Options{Self: order[1], Peers: urls}))
+	var runs atomic.Int32
+	serve(urls[0], New(Options{Self: urls[0], Peers: urls, Runner: func(ctx context.Context, cfg rbcast.Config, plan rbcast.FaultPlan) (rbcast.Result, error) {
+		runs.Add(1)
+		return rbcast.RunContext(ctx, cfg, plan)
+	}}))
+
+	resp, got := postRun(t, urls[0], req)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Rbcast-Cache") != "miss" {
+		t.Fatalf("owner answered %d, cache %q: %.200s", resp.StatusCode, resp.Header.Get("X-Rbcast-Cache"), got)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Errorf("owner simulated %d times, want 1 local execution", n)
+	}
+	for outcome, want := range map[string]int{"error": 1, "hit": 0, "miss": 1} {
 		if got := metricValue(t, urls[0], `rbcastd_peer_cache_fill_total\{outcome="`+outcome+`"\} (\d+)`); got != want {
 			t.Errorf("fill %s counter = %d, want %d", outcome, got, want)
 		}

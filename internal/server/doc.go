@@ -1,7 +1,8 @@
 // Package server implements rbcastd's HTTP/JSON serving layer: scenario
 // execution behind a fingerprint-keyed LRU result cache with single-flight
-// deduplication, asynchronous batch jobs on the rbcast.RunBatch worker
-// substrate, and Prometheus-text observability.
+// deduplication, asynchronous batch jobs and streamed sweeps on the
+// incremental sweep engine (one shared cache-scan → execute → store miss
+// path), and Prometheus-text observability.
 //
 // Endpoints:
 //

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,8 +68,9 @@ type ProgressEvent struct {
 	// NodeRounds is the simulated work performed so far: Σ rounds ×
 	// network size over this job's fresh executions.
 	NodeRounds int64 `json:"node_rounds"`
-	// DedupHits counts elements resolved without a fresh execution:
-	// result-cache hits plus within-batch duplicate fingerprints.
+	// DedupHits counts elements resolved without an execution of their
+	// own: result-cache hits, within-batch duplicate fingerprints, and
+	// elements that shared another element's execution.
 	DedupHits int `json:"dedup_hits"`
 	// Errors counts elements that finished with an error (terminal event
 	// only; partial deadline results are included).
@@ -85,7 +85,7 @@ type batchJob struct {
 
 	mu      sync.Mutex
 	done    bool
-	results []JobResult
+	results []wire.Element // unindexed JobResult elements
 	// progress is the latest cumulative snapshot; changed is closed and
 	// replaced on every advance, waking /v1/jobs/{id}/events streams.
 	progress ProgressEvent
@@ -109,50 +109,43 @@ func newBatchJob(id string, n int) *batchJob {
 // finished job ignores updates.
 func (j *batchJob) update(done int, nodeRounds int64, dedup int) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.done {
-		j.mu.Unlock()
 		return
 	}
-	advanced := false
-	if done > j.progress.JobsDone {
-		j.progress.JobsDone = done
-		advanced = true
+	was := j.progress
+	j.progress.JobsDone = max(was.JobsDone, done)
+	j.progress.NodeRounds = max(was.NodeRounds, nodeRounds)
+	j.progress.DedupHits = max(was.DedupHits, dedup)
+	if j.progress != was {
+		j.wake()
 	}
-	if nodeRounds > j.progress.NodeRounds {
-		j.progress.NodeRounds = nodeRounds
-		advanced = true
-	}
-	if dedup > j.progress.DedupHits {
-		j.progress.DedupHits = dedup
-		advanced = true
-	}
-	if advanced {
-		close(j.changed)
-		j.changed = make(chan struct{})
-	}
-	j.mu.Unlock()
 }
 
 // finish publishes the results and the terminal progress event. The first
 // finish wins (the panic path and the normal path cannot both land).
-func (j *batchJob) finish(results []JobResult) {
+func (j *batchJob) finish(results []wire.Element) {
 	j.mu.Lock()
-	if !j.done {
-		j.results = results
-		j.done = true
-		j.progress.State = "done"
-		j.progress.JobsDone = j.n
-		errs := 0
-		for i := range results {
-			if results[i].Error != "" {
-				errs++
-			}
-		}
-		j.progress.Errors = errs
-		close(j.changed)
-		j.changed = make(chan struct{})
+	defer j.mu.Unlock()
+	if j.done {
+		return
 	}
-	j.mu.Unlock()
+	j.results = results
+	j.done = true
+	j.progress.State = "done"
+	j.progress.JobsDone = j.n
+	for i := range results {
+		if results[i].Error != "" {
+			j.progress.Errors++
+		}
+	}
+	j.wake()
+}
+
+// wake closes and replaces the changed channel. Callers hold j.mu.
+func (j *batchJob) wake() {
+	close(j.changed)
+	j.changed = make(chan struct{})
 }
 
 // snapshot returns the current progress event, the channel that closes on
@@ -164,8 +157,8 @@ func (j *batchJob) snapshot() (ProgressEvent, chan struct{}, bool) {
 }
 
 // handleBatch accepts a job list and executes it asynchronously on the
-// RunBatch worker substrate, deduplicating against the result cache and
-// within the batch itself. The response carries the id to poll.
+// sweep engine (rbcast.RunBatch), deduplicating against the result cache
+// and within the batch itself. The response carries the id to poll.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -202,10 +195,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	workers := s.opts.Workers
-	if req.Workers > 0 && (workers <= 0 || req.Workers < workers) {
-		workers = req.Workers
-	}
 	// Async jobs get their own timeline in the flight recorder, keyed by
 	// job id: the HTTP accept above records only decode + admission, while
 	// the job trace attributes the execution (queue wait, slot wait,
@@ -220,42 +209,38 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.wg.Done()
 		defer s.queueDepth.Add(-1)
-		// Panic isolation for the stitching path itself: rbcast.RunBatch
-		// already confines per-scenario panics to their element, so this
-		// recover only fires on a server bug — the job fails, the daemon
-		// and its sibling jobs do not.
+		status := http.StatusOK
+		defer func() {
+			jtr.Finish(status)
+			s.rec.Record(jtr)
+			s.foldPhases(jtr)
+		}()
+		// Panic isolation for the stitching path itself: the sweep engine
+		// already confines per-scenario panics to their execution unit, so
+		// this recover only fires on a server bug — the job fails, the
+		// daemon and its sibling jobs do not.
 		defer func() {
 			r := recover()
 			if r == nil {
 				return
 			}
+			status = http.StatusInternalServerError
 			s.panicsRecovered.Add(1)
 			if s.opts.Logger != nil {
 				s.opts.Logger.Error("batch job panicked", "job", job.id, "panic", r)
 			}
-			failed := make([]JobResult, job.n)
+			failed := make([]wire.Element, job.n)
 			for i := range failed {
 				failed[i].Error = fmt.Sprintf("batch execution panicked: %v", r)
 			}
 			job.finish(failed)
-			jtr.Finish(http.StatusInternalServerError)
-			s.rec.Record(jtr)
-			s.foldPhases(jtr)
 		}()
 		jtr.End(queueSp)
 		// An accepted job waits for an execution slot rather than shedding:
 		// backpressure was applied at admission, MaxInflight paces the CPU.
-		if s.runSlots != nil {
-			slotSp := jtr.Start(obs.Root, "slot_wait")
-			s.runSlots <- struct{}{}
-			jtr.End(slotSp)
-			defer func() { <-s.runSlots }()
-		}
-		results := s.runBatch(jtr, job, req.Jobs, workers)
-		job.finish(results)
-		jtr.Finish(http.StatusOK)
-		s.rec.Record(jtr)
-		s.foldPhases(jtr)
+		s.acquireSlot(jtr, obs.Root, true)
+		defer s.releaseSlot()
+		job.finish(s.runBatch(jtr, job, req.Jobs, req.Workers))
 	}()
 
 	writeJSON(w, http.StatusAccepted, BatchResponse{
@@ -265,113 +250,70 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runBatch resolves a job list against the cache, executes the distinct
-// misses via the batch runner (the rbcast.RunBatch pool substrate), stores
-// fresh results, and stitches everything back in job order. tr (nil when
-// the flight recorder is disarmed) receives cache-scan and engine spans;
-// job receives live progress snapshots.
-func (s *Server) runBatch(tr *obs.Trace, job *batchJob, reqs []RunRequest, workers int) []JobResult {
-	results := make([]JobResult, len(reqs))
-	firstIndex := make(map[string]int) // fingerprint → first miss index
-	var missJobs []rbcast.Job
-	var missIndex []int
-	scanSp := tr.Start(obs.Root, "cache_scan")
-	cached := 0
+// runBatch resolves a job list: within-batch duplicate fingerprints are
+// answered from their first occurrence (reported cached), and the distinct
+// jobs go through resolve on the batch runner. tr (nil when the flight
+// recorder is disarmed) receives cache-scan and engine spans; job receives
+// live progress snapshots.
+func (s *Server) runBatch(tr *obs.Trace, job *batchJob, reqs []RunRequest, workers int) []wire.Element {
+	results := make([]wire.Element, len(reqs))
+	distinctOf := make([]int, len(reqs)) // request index → index into distinct
+	first := make(map[string]int)
+	var distinct []wire.Element
+	var jobs []rbcast.Job
 	for i, rr := range reqs {
 		rj := rbcast.Job{Config: rr.Config, Plan: rr.Plan}
 		fp := rj.Fingerprint()
-		results[i].Fingerprint = fp
-		if res, ok := s.cache.Get(fp); ok {
-			res := res
-			results[i].Result = &res
-			results[i].Cached = true
-			cached++
-			continue
+		k, repeat := first[fp]
+		if !repeat {
+			k = len(distinct)
+			first[fp] = k
+			distinct = append(distinct, wire.Element{Fingerprint: fp})
+			jobs = append(jobs, rj)
 		}
-		if _, dup := firstIndex[fp]; dup {
-			results[i].Cached = true // resolved from the first occurrence below
-			continue
-		}
-		firstIndex[fp] = i
-		missJobs = append(missJobs, rj)
-		missIndex = append(missIndex, i)
+		distinctOf[i] = k
+		results[i].Cached = repeat // kept through the stitch below
 	}
-	dups := len(reqs) - cached - len(missJobs)
-	tr.AnnotateInt(scanSp, "hits", int64(cached))
-	tr.AnnotateInt(scanSp, "dups", int64(dups))
-	tr.AnnotateInt(scanSp, "misses", int64(len(missJobs)))
-	tr.End(scanSp)
-	// Seed the progress stream: everything dedup-resolved is already done
-	// (duplicates stitch from their first occurrence, which the engine
-	// completion below accounts for).
-	job.update(cached, 0, cached+dups)
-
-	if len(missJobs) > 0 {
-		engSp := tr.Start(obs.Root, "engine")
-		s.inflightRuns.Add(int64(len(missJobs)))
-		batch := s.opts.BatchRunner(missJobs, rbcast.BatchOptions{
-			Workers:    workers,
-			JobTimeout: s.opts.JobTimeout,
-			Context:    obs.ContextWith(context.Background(), tr, engSp),
-			Progress: func(up rbcast.ProgressUpdate) {
-				job.update(cached+up.Done, up.NodeRounds, cached+dups)
-			},
-		})
-		s.inflightRuns.Add(-int64(len(missJobs)))
-		tr.End(engSp)
-		for k, br := range batch {
-			i := missIndex[k]
-			if br.Err != nil {
-				results[i].Error = br.Err.Error()
-				if errors.Is(br.Err, rbcast.ErrDeadline) {
-					// The element was cut by the job deadline: surface the
-					// partial state alongside the error, but never cache it.
-					s.deadlineRuns.Add(1)
-					res := br.Result
-					results[i].Result = &res
-					results[i].Partial = true
-				}
-				continue
-			}
-			res := br.Result
-			results[i].Result = &res
-			s.cache.Put(results[i].Fingerprint, res)
-			s.observe(res)
-		}
+	repeats := len(reqs) - len(distinct)
+	run := func(jobs []rbcast.Job, opts rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats) {
+		return s.opts.BatchRunner(jobs, opts), rbcast.SweepStats{}
 	}
-
-	// Resolve within-batch duplicates from their first occurrence.
-	for i := range results {
-		if results[i].Result != nil || results[i].Error != "" {
-			continue
-		}
-		first := results[firstIndex[results[i].Fingerprint]]
-		results[i].Result = first.Result
-		results[i].Error = first.Error
-		results[i].Partial = first.Partial
+	// Elements resolved without an execution of their own — cache hits,
+	// repeats and shared executions — count as dedup hits.
+	s.resolve(tr, obs.Root, jobs, distinct, workers, run, func(hits int, up rbcast.ProgressUpdate) {
+		job.update(hits+up.Done, up.NodeRounds, hits+repeats+up.SharedResults)
+	})
+	for i, k := range distinctOf {
+		repeat := results[i].Cached
+		results[i] = distinct[k]
+		results[i].Cached = results[i].Cached || repeat
 	}
 	return results
 }
 
-// handleJob reports a batch job's state and, once done, its results.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+// lookupJob returns the batch job the request's {id} names, or answers 404
+// and returns nil.
+func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *batchJob {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	job, ok := s.jobs[id]
+	job := s.jobs[id]
 	s.mu.Unlock()
-	if !ok {
+	if job == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+	}
+	return job
+}
+
+// handleJob reports a batch job's state and, once done, its results.
+func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+	job := s.lookupJob(w, r)
+	if job == nil {
 		return
 	}
 	status := wire.JobStatus{ID: job.id, Jobs: job.n, State: "running"}
 	job.mu.Lock()
 	if job.done {
-		status.State = "done"
-		status.Results = make([]wire.Element, len(job.results))
-		for i, r := range job.results {
-			status.Results[i] = wire.Element{Fingerprint: r.Fingerprint, Result: r.Result,
-				Error: r.Error, Cached: r.Cached, Partial: r.Partial}
-		}
+		status.State, status.Results = "done", job.results
 	}
 	job.mu.Unlock()
 	// The bytes writeJSON writes for a JobStatus, through the envelope
@@ -386,19 +328,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // byte-identical. The element is selected with ?job=N (default 0, batch
 // order). Traces exist only for elements whose Config.Trace was set.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	job, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+	job := s.lookupJob(w, r)
+	if job == nil {
 		return
 	}
 	job.mu.Lock()
 	done, results := job.done, job.results
 	job.mu.Unlock()
 	if !done {
-		writeError(w, http.StatusConflict, fmt.Errorf("job %q is still running", id))
+		writeError(w, http.StatusConflict, fmt.Errorf("job %q is still running", job.id))
 		return
 	}
 	idx := 0
@@ -443,12 +381,8 @@ const eventsHeartbeat = 15 * time.Second
 // eventsHeartbeat as keep-alives; watchers dedup by monotonicity. A job
 // that is already done yields exactly one terminal line. Unknown ids 404.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	job, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", id))
+	job := s.lookupJob(w, r)
+	if job == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -487,27 +421,18 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // long-running daemon's job table stays bounded. Running jobs are always
 // retained. Callers hold s.mu.
 func (s *Server) evictJobsLocked() {
-	for len(s.jobs) > s.opts.MaxJobs {
-		evicted := false
-		for i, id := range s.order {
-			job := s.jobs[id]
-			if job == nil {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
+	for i := 0; len(s.jobs) > s.opts.MaxJobs && i < len(s.order); {
+		id := s.order[i]
+		if job := s.jobs[id]; job != nil {
 			job.mu.Lock()
 			done := job.done
 			job.mu.Unlock()
-			if done {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
+			if !done {
+				i++
+				continue
 			}
+			delete(s.jobs, id)
 		}
-		if !evicted {
-			return // everything retained is still running
-		}
+		s.order = append(s.order[:i], s.order[i+1:]...)
 	}
 }

@@ -140,29 +140,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Per-phase duration summaries from the flight recorder's finished
 	// traces (empty until a recorded route runs with -flight-recorder on).
+	writeHeader(&b, "rbcastd_phase_seconds", "summary",
+		"Request time attributed to execution phases (flight-recorder span names).")
 	s.phaseMu.Lock()
 	phases := make([]string, 0, len(s.phaseDur))
 	for name := range s.phaseDur {
 		phases = append(phases, name)
 	}
 	sort.Strings(phases)
-	type phaseRow struct {
-		name  string
-		count uint64
-		sum   float64
-	}
-	rows := make([]phaseRow, len(phases))
-	for i, name := range phases {
+	for _, name := range phases {
 		ps := s.phaseDur[name]
-		rows[i] = phaseRow{name: name, count: ps.count, sum: time.Duration(ps.sumNanos).Seconds()}
+		fmt.Fprintf(&b, "rbcastd_phase_seconds_sum{phase=%q} %g\n", name, time.Duration(ps.sumNanos).Seconds())
+		fmt.Fprintf(&b, "rbcastd_phase_seconds_count{phase=%q} %d\n", name, ps.count)
 	}
 	s.phaseMu.Unlock()
-	writeHeader(&b, "rbcastd_phase_seconds", "summary",
-		"Request time attributed to execution phases (flight-recorder span names).")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "rbcastd_phase_seconds_sum{phase=%q} %g\n", row.name, row.sum)
-		fmt.Fprintf(&b, "rbcastd_phase_seconds_count{phase=%q} %d\n", row.name, row.count)
-	}
 	writeGauge(&b, "rbcastd_flight_recorder_requests_total", "counter",
 		"Request timelines recorded by the flight recorder.", float64(s.rec.Total()))
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -41,16 +42,19 @@ type Options struct {
 	// sync runs are shed with 429 + Retry-After (a cache hit is still
 	// served); accepted batch jobs wait for a slot.
 	MaxInflight int
-	// JobTimeout bounds each scenario execution's wall clock (≤ 0: none).
-	// A sync run over it fails with 504; a batch element over it fails
-	// individually with a partial result while its siblings complete.
+	// JobTimeout bounds each execution's wall clock (≤ 0: none). A sync
+	// run over it fails with 504. In batches and sweeps it bounds each
+	// execution unit (one shared execution, or a whole crash-round fork
+	// family): the unit's elements fail with partial results while the
+	// other units complete.
 	JobTimeout time.Duration
 	// Runner executes one scenario for /v1/run (nil: rbcast.RunContext).
 	// Tests inject counting or blocking runners. The context carries the
 	// server's job deadline; runners should stop when it is done.
 	Runner func(context.Context, rbcast.Config, rbcast.FaultPlan) (rbcast.Result, error)
 	// BatchRunner executes a batch job's cache misses (nil:
-	// rbcast.RunBatch). The BatchOptions carry the server's JobTimeout.
+	// rbcast.RunBatch, the sweep engine without its statistics). The
+	// BatchOptions carry the server's JobTimeout.
 	BatchRunner func([]rbcast.Job, rbcast.BatchOptions) []rbcast.BatchResult
 	// SweepRunner executes a sweep's cache misses through the incremental
 	// sweep engine (nil: rbcast.RunSweepJobs).
@@ -357,17 +361,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // (nil when disarmed, or when this execution was reached through a
 // coalesced waiter whose own trace records only the wait).
 func (s *Server) executeOne(tr *obs.Trace, parent obs.SpanID, cfg rbcast.Config, plan rbcast.FaultPlan) (res rbcast.Result, err error) {
-	if s.runSlots != nil {
-		slotSp := tr.Start(parent, "slot_wait")
-		select {
-		case s.runSlots <- struct{}{}:
-			tr.End(slotSp)
-			defer func() { <-s.runSlots }()
-		default:
-			tr.End(slotSp)
-			return rbcast.Result{}, errBusy
-		}
+	if !s.acquireSlot(tr, parent, false) {
+		return rbcast.Result{}, errBusy
 	}
+	defer s.releaseSlot()
 	s.inflightRuns.Add(1)
 	defer s.inflightRuns.Add(-1)
 	ctx := context.Background()
@@ -393,6 +390,113 @@ func (s *Server) executeOne(tr *obs.Trace, parent obs.SpanID, cfg rbcast.Config,
 		s.observe(res)
 	}
 	return res, err
+}
+
+// acquireSlot takes a MaxInflight execution slot under a slot_wait span:
+// with wait it blocks until one frees, without it reports false at once
+// when every slot is taken. Each successful acquire pairs with one
+// releaseSlot; both are no-ops when executions are unbounded.
+func (s *Server) acquireSlot(tr *obs.Trace, parent obs.SpanID, wait bool) bool {
+	if s.runSlots == nil {
+		return true
+	}
+	sp := tr.Start(parent, "slot_wait")
+	defer tr.End(sp)
+	if wait {
+		s.runSlots <- struct{}{}
+		return true
+	}
+	select {
+	case s.runSlots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// releaseSlot frees the slot acquireSlot took.
+func (s *Server) releaseSlot() {
+	if s.runSlots != nil {
+		<-s.runSlots
+	}
+}
+
+// resolve is the miss path /v1/batch and /v1/sweep share. els carry the
+// fingerprints of jobs, element for element. resolve serves cache hits,
+// executes the misses in one call of run (the batch or sweep runner) on a
+// pool capped at reqWorkers below the server default, stores fresh
+// results, marks deadline-cut elements partial, and folds engine totals
+// once per execution. progress, when non-nil, receives the hit count
+// after the cache scan and with every ProgressUpdate of the runner.
+func (s *Server) resolve(tr *obs.Trace, parent obs.SpanID, jobs []rbcast.Job, els []wire.Element, reqWorkers int,
+	run func([]rbcast.Job, rbcast.BatchOptions) ([]rbcast.BatchResult, rbcast.SweepStats),
+	progress func(hits int, up rbcast.ProgressUpdate)) rbcast.SweepStats {
+	scanSp := tr.Start(parent, "cache_scan")
+	var missJobs []rbcast.Job
+	var missIndex []int
+	for i := range els {
+		if res, ok := s.cache.Get(els[i].Fingerprint); ok {
+			els[i].Result = &res
+			els[i].Cached = true
+			continue
+		}
+		missJobs = append(missJobs, jobs[i])
+		missIndex = append(missIndex, i)
+	}
+	hits := len(els) - len(missJobs)
+	tr.AnnotateInt(scanSp, "elements", int64(len(els)))
+	tr.AnnotateInt(scanSp, "misses", int64(len(missJobs)))
+	tr.End(scanSp)
+	opts := rbcast.BatchOptions{Workers: s.opts.Workers, JobTimeout: s.opts.JobTimeout}
+	if reqWorkers > 0 && (opts.Workers <= 0 || reqWorkers < opts.Workers) {
+		opts.Workers = reqWorkers
+	}
+	if progress != nil {
+		progress(hits, rbcast.ProgressUpdate{})
+		opts.Progress = func(up rbcast.ProgressUpdate) { progress(hits, up) }
+	}
+	if len(missJobs) == 0 {
+		return rbcast.SweepStats{}
+	}
+	// The engine span parents the sweep engine's own spans (sweep_plan,
+	// per-unit sweep_unit, per-branch fork), carried in through the
+	// context.
+	engSp := tr.Start(parent, "engine")
+	opts.Context = obs.ContextWith(context.Background(), tr, engSp)
+	s.inflightRuns.Add(int64(len(missJobs)))
+	out, stats := run(missJobs, opts)
+	s.inflightRuns.Add(-int64(len(missJobs)))
+	tr.End(engSp)
+	// Elements that share an execution share one Result value, and with
+	// it one Decisions map: the server-wide totals count each execution
+	// once.
+	seen := make(map[uintptr]bool)
+	for k, br := range out {
+		e := &els[missIndex[k]]
+		res := br.Result
+		p := reflect.ValueOf(res.Decisions).Pointer()
+		fresh := p == 0 || !seen[p]
+		seen[p] = true
+		if br.Err != nil {
+			e.Error = br.Err.Error()
+			if errors.Is(br.Err, rbcast.ErrDeadline) {
+				// Cut by the job deadline: surface the partial state
+				// alongside the error, but never cache it.
+				e.Result = &res
+				e.Partial = true
+				if fresh {
+					s.deadlineRuns.Add(1)
+				}
+			}
+			continue
+		}
+		e.Result = &res
+		s.cache.Put(e.Fingerprint, res)
+		if fresh {
+			s.observe(res)
+		}
+	}
+	return stats
 }
 
 // observe folds one run's engine counters into the server-wide totals.

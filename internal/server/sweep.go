@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -84,94 +83,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Sweeps are synchronous like /v1/run: shed rather than queue when
 	// every execution slot is taken. One slot covers the whole sweep; the
 	// engine's own worker pool paces the per-element parallelism.
-	if s.runSlots != nil {
-		slotSp := tr.Start(root, "slot_wait")
-		select {
-		case s.runSlots <- struct{}{}:
-			tr.End(slotSp)
-			defer func() { <-s.runSlots }()
-		default:
-			tr.End(slotSp)
-			s.shedBusy.Add(1)
-			writeShed(w, errBusy)
-			return
-		}
+	if !s.acquireSlot(tr, root, false) {
+		s.shedBusy.Add(1)
+		writeShed(w, errBusy)
+		return
 	}
+	defer s.releaseSlot()
 
-	scanSp := tr.Start(root, "cache_scan")
-	results := make([]SweepElement, len(elements))
-	var missJobs []rbcast.Job
-	var missIndex []int
+	// No within-sweep fingerprint dedup: the sweep engine's execution-key
+	// grouping subsumes it (identical fingerprints have identical
+	// execution keys) and shares more besides.
+	results := make([]wire.Element, len(elements))
 	for i, job := range elements {
-		fp := job.Fingerprint()
-		results[i] = SweepElement{Index: i, Fingerprint: fp}
-		if res, ok := s.cache.Get(fp); ok {
-			res := res
-			results[i].Result = &res
-			results[i].Cached = true
-			continue
-		}
-		// No within-sweep fingerprint dedup here: the sweep engine's
-		// execution-key grouping subsumes it (identical fingerprints have
-		// identical execution keys) and shares more besides.
-		missJobs = append(missJobs, job)
-		missIndex = append(missIndex, i)
+		results[i] = wire.Element{Index: i, Fingerprint: job.Fingerprint()}
 	}
-	tr.AnnotateInt(scanSp, "elements", int64(len(elements)))
-	tr.AnnotateInt(scanSp, "misses", int64(len(missJobs)))
-	tr.End(scanSp)
-
-	var stats rbcast.SweepStats
-	if len(missJobs) > 0 {
-		workers := s.opts.Workers
-		if req.Workers > 0 && (workers <= 0 || req.Workers < workers) {
-			workers = req.Workers
-		}
-		// The engine span parents the sweep engine's own spans
-		// (sweep_plan, per-unit sweep_unit, per-branch fork), carried in
-		// through BatchOptions.Context.
-		engSp := tr.Start(root, "engine")
-		s.inflightRuns.Add(int64(len(missJobs)))
-		var batch []rbcast.BatchResult
-		batch, stats = s.opts.SweepRunner(missJobs, rbcast.BatchOptions{
-			Workers:    workers,
-			JobTimeout: s.opts.JobTimeout,
-			Context:    obs.ContextWith(context.Background(), tr, engSp),
-		})
-		s.inflightRuns.Add(-int64(len(missJobs)))
-		tr.End(engSp)
-		for k, br := range batch {
-			i := missIndex[k]
-			if br.Err != nil {
-				results[i].Error = br.Err.Error()
-				if errors.Is(br.Err, rbcast.ErrDeadline) {
-					s.deadlineRuns.Add(1)
-					res := br.Result
-					results[i].Result = &res
-					results[i].Partial = true
-				}
-				continue
-			}
-			res := br.Result
-			results[i].Result = &res
-			s.cache.Put(results[i].Fingerprint, res)
-		}
-		// Fold the executed simulations into the fleet-wide totals once per
-		// distinct execution: shared results would double-count counters
-		// that were only incurred once.
-		seen := make(map[string]bool)
-		for k, br := range batch {
-			if br.Err != nil {
-				continue
-			}
-			fp := results[missIndex[k]].Fingerprint
-			if seen[fp] {
-				continue
-			}
-			seen[fp] = true
-			s.observe(br.Result)
-		}
-	}
+	stats := s.resolve(tr, root, elements, results, req.Workers, s.opts.SweepRunner, nil)
 	s.sweepsRun.Add(1)
 	s.sweepElements.Add(int64(len(elements)))
 	s.sweepSharedResults.Add(int64(stats.SharedResults))
@@ -196,7 +122,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var line []byte
 	for i := range results {
 		var err error
-		line, err = wire.AppendElement(line[:0], (*wire.Element)(&results[i]), true)
+		line, err = wire.AppendElement(line[:0], &results[i], true)
 		writeLine(line, err)
 	}
 	writeLine(json.Marshal(SweepTrailer{Stats: stats}))

@@ -82,8 +82,8 @@ func (s SweepSpec) Elements() ([]Job, error) {
 
 // SweepStats accounts for the work a sweep shared. NodeRounds versus
 // ScalarNodeRounds is the headline: simulated node-rounds actually spent
-// versus what running every element independently (RunBatch) would have
-// spent on the same grid.
+// versus what running every element independently (a Run per element)
+// would have spent on the same grid.
 type SweepStats struct {
 	// Elements is the grid size.
 	Elements int `json:"elements"`
@@ -131,7 +131,7 @@ type sweepGroup struct {
 // (Metrics.Wall aside) to an independent Run of that element — sharing is an
 // execution strategy, never a semantic. The returned error only reports an
 // invalid spec (oversized grid); per-element failures travel in their
-// BatchResult exactly as in RunBatch.
+// BatchResult.
 func RunSweep(spec SweepSpec, opts BatchOptions) ([]BatchResult, SweepStats, error) {
 	jobs, err := spec.Elements()
 	if err != nil {
@@ -154,9 +154,9 @@ func RunSweep(spec SweepSpec, opts BatchOptions) ([]BatchResult, SweepStats, err
 //     is simulated once.
 //
 // Elements that share an execution share the same Result value — treat
-// results as read-only. Options follow RunBatch, with one difference:
-// JobTimeout bounds each *execution unit* (a whole fork family counts as
-// one unit), not each element.
+// results as read-only. JobTimeout bounds each *execution unit* (a whole
+// fork family counts as one unit), not each element. RunBatch is this
+// function without the statistics.
 func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 	results := make([]BatchResult, len(jobs))
 	stats := SweepStats{Elements: len(jobs)}
@@ -234,21 +234,21 @@ func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 		}()
 		defer func() {
 			if r := recover(); r != nil {
-				for _, g := range gs {
-					for _, i := range g.indices {
-						results[i] = BatchResult{Err: &PanicError{Index: i, Value: r, Stack: debug.Stack()}}
-					}
-				}
+				stack := debug.Stack()
+				failGroups(results, gs, func(i int) error { return &PanicError{Index: i, Value: r, Stack: stack} })
 			}
 		}()
+		if hook := unitDispatched; hook != nil {
+			hook(ui)
+		}
+		// The check sits immediately before the run so cancellation
+		// arriving any time up to unit start is observed without paying
+		// for a run that is already unwanted; cancellation after the start
+		// is the engines' round-boundary check.
 		if ctx != nil {
 			select {
 			case <-ctx.Done():
-				for _, g := range gs {
-					for _, i := range g.indices {
-						results[i].Err = ctx.Err()
-					}
-				}
+				failGroups(results, gs, func(int) error { return ctx.Err() })
 				return
 			default:
 			}
@@ -265,12 +265,7 @@ func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 		unitCtx = obs.ContextWith(unitCtx, tr, unitSp)
 		st := &unitStats[ui]
 		if len(gs) == 1 {
-			g := gs[0]
-			job := jobs[g.indices[0]]
-			res, err := RunContext(unitCtx, job.Config, job.Plan)
-			finishGroup(results, g, res, err, st)
-			st.Simulations++
-			countRounds(st, res, err, len(g.indices), 0)
+			runGroup(unitCtx, jobs, gs[0], results, st)
 			return
 		}
 		runCrashFamily(unitCtx, jobs, gs, results, st)
@@ -280,6 +275,12 @@ func RunSweepJobs(jobs []Job, opts BatchOptions) ([]BatchResult, SweepStats) {
 	}
 	return results, stats
 }
+
+// unitDispatched, when non-nil, runs with each execution unit's index
+// (units are numbered in order of their first element) inside the unit's
+// recover scope, before its cancellation check. It is a test seam: a panic
+// here is indistinguishable from a panicking scenario.
+var unitDispatched func(unit int)
 
 // forkEligible reports whether a job can join a wavefront-prefix fork
 // family: sequential deterministic engine on the ideal medium, untraced,
@@ -314,19 +315,29 @@ func finishGroup(results []BatchResult, g *sweepGroup, res Result, err error, st
 	st.SharedResults += len(g.indices) - 1
 }
 
-// countRounds books one execution's node-rounds: the actual work skips the
-// forked-over prefix (forkedFrom rounds), the scalar-equivalent work charges
-// the full run once per element sharing it. Rejected configs (zero results)
-// book nothing.
-func countRounds(st *SweepStats, res Result, err error, elements int, forkedFrom int) {
+// failGroups fails every element of gs with errFor(element index).
+func failGroups(results []BatchResult, gs []*sweepGroup, errFor func(i int) error) {
+	for _, g := range gs {
+		for _, i := range g.indices {
+			results[i] = BatchResult{Err: errFor(i)}
+		}
+	}
+}
+
+// runGroup executes one group without forking and books its node-rounds:
+// the scalar-equivalent work charges the run once per element sharing it.
+// Rejected configs (zero results) book nothing.
+func runGroup(ctx context.Context, jobs []Job, g *sweepGroup, results []BatchResult, st *SweepStats) {
+	job := jobs[g.indices[0]]
+	res, err := RunContext(ctx, job.Config, job.Plan)
+	finishGroup(results, g, res, err, st)
+	st.Simulations++
 	if err != nil && !errors.Is(err, ErrDeadline) {
 		return
 	}
-	size := int64(len(res.Decisions))
-	rounds := int64(res.Rounds)
-	st.NodeRounds += (rounds - int64(forkedFrom)) * size
-	st.ScalarNodeRounds += rounds * size * int64(elements)
-	st.PrefixNodeRoundsSaved += int64(forkedFrom) * size
+	nodeRounds := int64(res.Rounds) * int64(len(res.Decisions))
+	st.NodeRounds += nodeRounds
+	st.ScalarNodeRounds += nodeRounds * int64(len(g.indices))
 }
 
 // runCrashFamily executes a fork family: the trunk engine carries the
@@ -348,11 +359,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		// The family shares every execution-relevant parameter except the
 		// crash round, which cannot cause a rejection — so a rejected trunk
 		// rejects every member identically.
-		for _, g := range gs {
-			for _, i := range g.indices {
-				results[i].Err = err
-			}
-		}
+		failGroups(results, gs, func(int) error { return err })
 		return
 	}
 	tap := etrace.New(false)
@@ -364,11 +371,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		// Unexpected for eligible families; recover by running each group
 		// independently (still sharing within each group).
 		for _, g := range gs {
-			job := jobs[g.indices[0]]
-			res, rerr := RunContext(ctx, job.Config, job.Plan)
-			finishGroup(results, g, res, rerr, st)
-			st.Simulations++
-			countRounds(st, res, rerr, len(g.indices), 0)
+			runGroup(ctx, jobs, g, results, st)
 		}
 		return
 	}
@@ -397,34 +400,35 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 			// Termination at or before the boundary: the remaining crash
 			// rounds all lie beyond the execution's horizon (they exceed
 			// this boundary, which the run never reached), so the trunk's
-			// final state *is* each remaining element's exact result.
+			// final state *is* each remaining element's exact result. The
+			// remaining groups differ only in those crash rounds, which
+			// scoring never reads (it reads the crash set), so they share
+			// one Result value, as one execution's elements do.
 			trunkRes := eng.Result()
 			rounds := int64(trunkRes.Stats.Rounds)
 			st.Simulations++
 			st.NodeRounds += rounds * size
-			for ri, rem := range gs[bi:] {
-				remPr, perr := prepare(jobs[rem.indices[0]].Config, jobs[rem.indices[0]].Plan)
-				if perr != nil {
-					for _, i := range rem.indices {
-						results[i].Err = perr
-					}
-					continue
-				}
-				out := protocol.Score(remPr.runConfig(nil, ctx), trunkRes)
-				finish(rem, remPr, tap.Clone(), out, runErr)
-				st.ScalarNodeRounds += rounds * size * int64(len(rem.indices))
+			rem := gs[bi]
+			remPr, perr := prepare(jobs[rem.indices[0]].Config, jobs[rem.indices[0]].Plan)
+			if perr != nil {
+				failGroups(results, gs[bi:], func(int) error { return perr })
+				return
+			}
+			finish(rem, remPr, tap, protocol.Score(remPr.runConfig(nil, ctx), trunkRes), runErr)
+			shared := results[rem.indices[0]]
+			for ri, g := range gs[bi:] {
 				if ri > 0 {
+					finishGroup(results, g, shared.Result, shared.Err, st)
 					st.SharedResults++ // the group's execution itself came from the trunk
 				}
+				st.ScalarNodeRounds += rounds * size * int64(len(g.indices))
 			}
 			return
 		}
 		// Fork the branch for this crash round and run it to completion.
 		fpr, perr := prepare(jobs[g.indices[0]].Config, jobs[g.indices[0]].Plan)
 		if perr != nil {
-			for _, i := range g.indices {
-				results[i].Err = perr
-			}
+			failGroups(results, []*sweepGroup{g}, func(int) error { return perr })
 			continue
 		}
 		ftap := tap.Clone()
@@ -433,9 +437,7 @@ func runCrashFamily(ctx context.Context, jobs []Job, gs []*sweepGroup, results [
 		feng, ferr := eng.Fork(fpr.faulty.crash, ftap)
 		if ferr != nil {
 			tr.End(fsp)
-			for _, i := range g.indices {
-				results[i].Err = ferr
-			}
+			failGroups(results, []*sweepGroup{g}, func(int) error { return ferr })
 			continue
 		}
 		fres, frunErr := feng.Run()

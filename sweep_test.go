@@ -67,6 +67,15 @@ func TestSweepCrashRoundFamilies(t *testing.T) {
 			},
 			Axes: SweepAxes{CrashRounds: []int{1, 2, 3, 4, 5, 6, 7, 8}},
 		}},
+		// Crash rounds 30–50 come after the flood quiesces: the trunk
+		// terminates before their boundaries and answers all three.
+		{"flood/torus-past-horizon", SweepSpec{
+			Base: Job{
+				Config: Config{Width: 16, Height: 12, Radius: 1, Protocol: ProtocolFlood, Value: 1},
+				Plan:   FaultPlan{Placement: PlaceBand, Strategy: StrategyCrash},
+			},
+			Axes: SweepAxes{CrashRounds: []int{1, 2, 30, 40, 50}},
+		}},
 		{"cpa/torus-greedy", SweepSpec{
 			Base: Job{
 				Config: Config{Width: 20, Height: 12, Radius: 2, Protocol: ProtocolCPA, T: 2, Value: 1},
