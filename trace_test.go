@@ -2,7 +2,9 @@ package rbcast
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -140,6 +142,56 @@ func TestTraceGoldenJSONL(t *testing.T) {
 	}
 	if !bytes.Equal(got, again.Bytes()) {
 		t.Fatal("re-encoding a decoded trace is not byte-identical")
+	}
+}
+
+// TestTraceCertsGolden pins the EncodeTrace bytes of the at-threshold
+// scenarios whose commit certificates come from the exact chain-packing
+// search — BV2's §VI-B disjoint-chains rule and exact-mode BV4's §VI
+// determination — as one "name<TAB>sha256" line each. The search's chain choice lands in the
+// certificates, so a change to the packing order shows up here even when
+// every verdict and round stays put.
+func TestTraceCertsGolden(t *testing.T) {
+	type shape struct {
+		name     string
+		w, h, r  int
+		protocol Protocol
+		exact    bool
+	}
+	shapes := []shape{
+		{"bv2/16x10r1", 16, 10, 1, ProtocolBV2, false},
+		{"bv2/20x12r2", 20, 12, 2, ProtocolBV2, false},
+		{"bv4-exact/12x8r1", 12, 8, 1, ProtocolBV4, true},
+	}
+	strategies := []Strategy{StrategySilent, StrategyLiar, StrategyForger}
+	var got bytes.Buffer
+	for _, sh := range shapes {
+		for _, st := range strategies {
+			cfg := Config{Width: sh.w, Height: sh.h, Radius: sh.r, Protocol: sh.protocol, T: MaxByzantineLinf(sh.r), Value: 1, ExactEvidence: sh.exact, Trace: true}
+			res, err := Run(cfg, FaultPlan{Placement: PlaceGreedyBand, Strategy: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := EncodeTrace(&buf, res.Trace); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "%s/%s\t%x\n", sh.name, st, sha256.Sum256(buf.Bytes()))
+		}
+	}
+
+	golden := filepath.Join("testdata", "trace_certs.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading golden file (run `go test -run TestTraceCertsGolden -update ./` to create it): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("traced certificate scenarios drifted from %s:\n got:\n%s\nwant:\n%s", golden, got.Bytes(), want)
 	}
 }
 
