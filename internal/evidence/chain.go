@@ -1,7 +1,6 @@
 package evidence
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/topology"
@@ -128,27 +127,4 @@ func (s *Store) Chains(origin topology.NodeID, value byte) []Chain {
 // order. The returned slice is shared; callers must not mutate it.
 func (s *Store) ValueChains(value byte) []Chain {
 	return s.byValue[value]
-}
-
-// Origins returns all (origin, value) pairs with any recorded evidence
-// (direct or relayed), in deterministic order.
-func (s *Store) Origins() []Chain {
-	out := make([]Chain, 0, len(s.chains)+len(s.direct))
-	seen := make(map[chainIndex]struct{}, len(s.chains)+len(s.direct))
-	for idx := range s.direct {
-		seen[idx] = struct{}{}
-		out = append(out, Chain{Origin: idx.origin, Value: idx.value})
-	}
-	for idx := range s.chains {
-		if _, ok := seen[idx]; !ok {
-			out = append(out, Chain{Origin: idx.origin, Value: idx.value})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Origin != out[j].Origin {
-			return out[i].Origin < out[j].Origin
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
 }

@@ -45,20 +45,6 @@ func TestStoreDirect(t *testing.T) {
 	}
 }
 
-func TestStoreOrigins(t *testing.T) {
-	s := NewStore()
-	s.AddDirect(3, 1)
-	s.Add(Chain{Origin: 2, Value: 0, Relays: []topology.NodeID{9}})
-	s.Add(Chain{Origin: 3, Value: 1, Relays: []topology.NodeID{8}})
-	got := s.Origins()
-	if len(got) != 2 {
-		t.Fatalf("origins = %v", got)
-	}
-	if got[0].Origin != 2 || got[1].Origin != 3 {
-		t.Errorf("origins order: %v", got)
-	}
-}
-
 func TestChainKeyDistinguishesOrder(t *testing.T) {
 	a := Chain{Origin: 1, Value: 0, Relays: []topology.NodeID{2, 3}}
 	b := Chain{Origin: 1, Value: 0, Relays: []topology.NodeID{3, 2}}
@@ -107,8 +93,8 @@ func TestDeterminedExactDirect(t *testing.T) {
 	net := testNet(t, 9, 9, 1)
 	s := NewStore()
 	s.AddDirect(5, 1)
-	if !DeterminedExact(net, s, 0, 5, 1, 99) {
-		t.Error("direct hearing determines regardless of need")
+	if chains, direct, ok := DeterminedExact(net, s, 0, 5, 1, 99); !ok || !direct || chains != nil {
+		t.Errorf("direct hearing determines regardless of need, with no chains: got %v, %v, %v", chains, direct, ok)
 	}
 }
 
@@ -121,15 +107,19 @@ func TestDeterminedExactViaChains(t *testing.T) {
 	relayB := net.IDOf(grid.C(3, 3))
 	s := NewStore()
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{relayA}})
-	if DeterminedExact(net, s, recv, origin, 1, 2) {
+	if determinedExact(net, s, recv, origin, 1, 2) {
 		t.Error("one chain cannot satisfy need=2")
 	}
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{relayB}})
-	if !DeterminedExact(net, s, recv, origin, 1, 2) {
-		t.Error("two disjoint in-nbd chains must determine")
+	chains, direct, ok := DeterminedExact(net, s, recv, origin, 1, 2)
+	if !ok || direct {
+		t.Fatal("two disjoint in-nbd chains must determine")
+	}
+	if !reflect.DeepEqual(chains, s.Chains(origin, 1)) {
+		t.Errorf("witness = %v, want both chains in store order", chains)
 	}
 	// Wrong value is unaffected.
-	if DeterminedExact(net, s, recv, origin, 0, 2) {
+	if determinedExact(net, s, recv, origin, 0, 2) {
 		t.Error("evidence is per-value")
 	}
 }
@@ -144,7 +134,7 @@ func TestDeterminedExactRejectsSharedRelay(t *testing.T) {
 	// Two chains sharing their only relay: max packing is 1.
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{shared}})
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{shared, far}})
-	if DeterminedExact(net, s, recv, origin, 1, 2) {
+	if determinedExact(net, s, recv, origin, 1, 2) {
 		t.Error("chains sharing a relay are not disjoint evidence")
 	}
 }
@@ -160,7 +150,7 @@ func TestDeterminedExactRequiresSingleNeighborhood(t *testing.T) {
 	s := NewStore()
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{nearRelay}})
 	s.Add(Chain{Origin: origin, Value: 1, Relays: []topology.NodeID{farRelay}})
-	if DeterminedExact(net, s, recv, origin, 1, 2) {
+	if determinedExact(net, s, recv, origin, 1, 2) {
 		t.Error("chains outside a single neighborhood must not count together")
 	}
 }
@@ -173,11 +163,11 @@ func TestCommitSingleLevel(t *testing.T) {
 	o2 := net.IDOf(grid.C(3, 3))
 	s := NewStore()
 	s.AddDirect(o1, 1)
-	if CommitSingleLevel(net, s, recv, 1, 2) {
+	if commits(net, s, recv, 1, 2) {
 		t.Error("single chain insufficient")
 	}
 	s.AddDirect(o2, 1)
-	if !CommitSingleLevel(net, s, recv, 1, 2) {
+	if !commits(net, s, recv, 1, 2) {
 		t.Error("two direct commits in one nbd must commit")
 	}
 }
@@ -191,14 +181,28 @@ func TestCommitSingleLevelDisjointness(t *testing.T) {
 	s := NewStore()
 	s.Add(Chain{Origin: o1, Value: 1, Relays: []topology.NodeID{o2}})
 	s.AddDirect(o2, 1)
-	if CommitSingleLevel(net, s, recv, 1, 2) {
+	if commits(net, s, recv, 1, 2) {
 		t.Error("origin reused as relay violates collective disjointness")
 	}
 	// Add an independent second origin: now two disjoint chains exist.
 	o3 := net.IDOf(grid.C(3, 3))
 	s.AddDirect(o3, 1)
-	if !CommitSingleLevel(net, s, recv, 1, 2) {
-		t.Error("disjoint pair must commit")
+	center, chains, ok := CommitSingleLevel(net, s, recv, 1, 2, nil)
+	if !ok {
+		t.Fatal("disjoint pair must commit")
+	}
+	want := []Chain{{Origin: o2, Value: 1}, {Origin: o3, Value: 1}}
+	if !reflect.DeepEqual(chains, want) {
+		t.Errorf("witness = %v, want the two direct commits %v", chains, want)
+	}
+	for _, id := range []topology.NodeID{o2, o3} {
+		if !net.Torus().Within(grid.Linf, center, net.CoordOf(id), 1) {
+			t.Errorf("center %v does not cover node %v", center, net.CoordOf(id))
+		}
+	}
+	// The focused scan fires for the chain that completed the packing.
+	if _, _, ok := CommitSingleLevel(net, s, recv, 1, 2, &Chain{Origin: o3, Value: 1}); !ok {
+		t.Error("focused scan around the new chain must commit")
 	}
 }
 
@@ -211,7 +215,7 @@ func TestCommitSingleLevelIgnoresLongChains(t *testing.T) {
 		net.IDOf(grid.C(3, 3)), net.IDOf(grid.C(2, 3)),
 	}})
 	s.AddDirect(net.IDOf(grid.C(2, 1)), 1)
-	if CommitSingleLevel(net, s, recv, 1, 2) {
+	if commits(net, s, recv, 1, 2) {
 		t.Error("two-relay chains are not §VI-B evidence")
 	}
 }
@@ -446,7 +450,37 @@ func families(ft *FamilyTable) map[grid.Coord]*famEntry {
 // stopping early once `target` is reached.
 func maxDisjointChains(chains []Chain, target int) int {
 	masks, words := chainMasks(chains, false)
-	return maxDisjointMasks(masks, words, target)
+	return maxPacking(masks, words, target)
+}
+
+// maxPacking returns the size of a maximum pairwise-disjoint subfamily of
+// masks, capped at target, by raising pack's target until it fails.
+func maxPacking(masks [][]uint64, words, target int) int {
+	best := 0
+	for best < target && pack(masks, allIndices(len(masks)), words, best+1) != nil {
+		best++
+	}
+	return best
+}
+
+// allIndices returns 0..n-1, a candidate list naming every mask.
+func allIndices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// determinedExact and commits reduce the exact rules to their verdicts.
+func determinedExact(net *topology.Network, s *Store, recv, origin topology.NodeID, v byte, need int) bool {
+	_, _, ok := DeterminedExact(net, s, recv, origin, v, need)
+	return ok
+}
+
+func commits(net *topology.Network, s *Store, recv topology.NodeID, v byte, need int) bool {
+	_, _, ok := CommitSingleLevel(net, s, recv, v, need, nil)
+	return ok
 }
 
 // TestConfirmMultiWordMasks confirms a whole family at a radius whose

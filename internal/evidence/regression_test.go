@@ -27,10 +27,10 @@ func TestCommitSingleLevelRoleMixingRegression(t *testing.T) {
 	s.Add(Chain{Origin: id(0, 3), Value: 0, Relays: []topology.NodeID{id(13, 4)}})
 	s.Add(Chain{Origin: id(13, 3), Value: 0, Relays: []topology.NodeID{id(13, 4)}})
 	s.AddDirect(id(13, 4), 0)
-	if CommitSingleLevel(net, s, recv, 0, 3) {
+	if commits(net, s, recv, 0, 3) {
 		t.Error("need=3 must not be satisfiable (max disjoint packing is 2)")
 	}
-	if !CommitSingleLevel(net, s, recv, 0, 2) {
+	if !commits(net, s, recv, 0, 2) {
 		t.Error("need=2 should be satisfiable")
 	}
 }

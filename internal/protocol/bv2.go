@@ -148,7 +148,7 @@ func (b *bv2Proc) tryCommit(ctx sim.Context, chain evidence.Chain) {
 		return
 	}
 	b.tap.EvidenceEval(ctx.Round(), b.self, chain.Origin, chain.Value)
-	if evidence.CommitSingleLevelFocused(b.net, b.store, b.self, chain.Value, b.t+1, chain) {
+	if _, _, ok := evidence.CommitSingleLevel(b.net, b.store, b.self, chain.Value, b.t+1, &chain); ok {
 		b.commit(ctx, chain.Value, b.chainCert(chain.Value))
 	}
 }
@@ -160,7 +160,7 @@ func (b *bv2Proc) chainCert(v byte) *etrace.Certificate {
 	if !b.tap.Tracing() {
 		return nil
 	}
-	center, chains, ok := evidence.CommitWitness(b.net, b.store, b.self, v, b.t+1)
+	center, chains, ok := evidence.CommitSingleLevel(b.net, b.store, b.self, v, b.t+1, nil)
 	if !ok {
 		return nil // defensive: the focused check just succeeded
 	}

@@ -241,7 +241,8 @@ func (b *bv4Proc) isDetermined(round int, origin topology.NodeID, v byte, confir
 		// ones is a sound instance of the paper's rule.
 		return confirmed >= need
 	}
-	return evidence.DeterminedExact(b.net, b.store, b.self, origin, v, need)
+	_, _, ok := evidence.DeterminedExact(b.net, b.store, b.self, origin, v, need)
+	return ok
 }
 
 // onDetermined counts a newly reliably-determined committer and applies the
@@ -312,7 +313,7 @@ func (b *bv4Proc) determinedChains(origin topology.NodeID, v byte, need int) [][
 	if b.mode == Designated {
 		return b.ev.ConfirmedChains(origin, v)
 	}
-	chains, _, _ := evidence.DeterminedExactWitness(b.net, b.store, b.self, origin, v, need)
+	chains, _, _ := evidence.DeterminedExact(b.net, b.store, b.self, origin, v, need)
 	var out [][]topology.NodeID
 	for _, c := range chains {
 		out = append(out, append([]topology.NodeID(nil), c.Relays...))
