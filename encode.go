@@ -41,25 +41,7 @@ func (p Protocol) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes a protocol name; "" restores the zero value.
 func (p *Protocol) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*p = 0
-	case "flood":
-		*p = ProtocolFlood
-	case "cpa":
-		*p = ProtocolCPA
-	case "bv4":
-		*p = ProtocolBV4
-	case "bv2":
-		*p = ProtocolBV2
-	case "bracha":
-		*p = ProtocolBracha
-	case "bracha-auth":
-		*p = ProtocolBrachaAuth
-	default:
-		return fmt.Errorf("rbcast: unknown protocol %q", text)
-	}
-	return nil
+	return enumParse(p, "protocol", protocolNames, text)
 }
 
 // MarshalText encodes the topology family name ("torus", "rgg", "custom").
@@ -70,19 +52,7 @@ func (t Topology) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes a topology family name; "" restores the zero value.
 func (t *Topology) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*t = 0
-	case "torus":
-		*t = TopologyTorus
-	case "rgg":
-		*t = TopologyRGG
-	case "custom":
-		*t = TopologyCustom
-	default:
-		return fmt.Errorf("rbcast: unknown topology %q", text)
-	}
-	return nil
+	return enumParse(t, "topology", topologyNames, text)
 }
 
 // MarshalText encodes the metric name ("linf", "l2"). The zero value
@@ -93,17 +63,7 @@ func (m Metric) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes a metric name; "" restores the zero value.
 func (m *Metric) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*m = 0
-	case "linf":
-		*m = MetricLinf
-	case "l2":
-		*m = MetricL2
-	default:
-		return fmt.Errorf("rbcast: unknown metric %q", text)
-	}
-	return nil
+	return enumParse(m, "metric", metricNames, text)
 }
 
 // MarshalText encodes the placement name ("none", "band",
@@ -115,25 +75,7 @@ func (p Placement) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes a placement name; "" restores the zero value.
 func (p *Placement) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*p = 0
-	case "none":
-		*p = PlaceNone
-	case "band":
-		*p = PlaceBand
-	case "checkerboard-band":
-		*p = PlaceCheckerboardBand
-	case "greedy-band":
-		*p = PlaceGreedyBand
-	case "random-bounded":
-		*p = PlaceRandomBounded
-	case "percolation":
-		*p = PlacePercolation
-	default:
-		return fmt.Errorf("rbcast: unknown placement %q", text)
-	}
-	return nil
+	return enumParse(p, "placement", placementNames, text)
 }
 
 // MarshalText encodes the strategy name ("crash", "silent", "liar",
@@ -144,25 +86,7 @@ func (s Strategy) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes a strategy name; "" restores the zero value.
 func (s *Strategy) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*s = 0
-	case "crash":
-		*s = StrategyCrash
-	case "silent":
-		*s = StrategySilent
-	case "liar":
-		*s = StrategyLiar
-	case "forger":
-		*s = StrategyForger
-	case "spoofer":
-		*s = StrategySpoofer
-	case "equivocator":
-		*s = StrategyEquivocator
-	default:
-		return fmt.Errorf("rbcast: unknown strategy %q", text)
-	}
-	return nil
+	return enumParse(s, "strategy", strategyNames, text)
 }
 
 // MarshalText encodes the event kind name ("broadcast", "delivery",
@@ -174,25 +98,7 @@ func (k EventKind) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes an event kind name; "" restores the zero value.
 func (k *EventKind) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*k = 0
-	case "broadcast":
-		*k = EventBroadcast
-	case "delivery":
-		*k = EventDelivery
-	case "evidence-eval":
-		*k = EventEvidenceEval
-	case "crash":
-		*k = EventCrash
-	case "spoof":
-		*k = EventSpoof
-	case "commit":
-		*k = EventCommit
-	default:
-		return fmt.Errorf("rbcast: unknown event kind %q", text)
-	}
-	return nil
+	return enumParse(k, "event kind", eventKindNames, text)
 }
 
 // MarshalText encodes the commit rule name ("source", "direct", "quorum",
@@ -204,27 +110,7 @@ func (r CommitRule) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes a commit rule name; "" restores the zero value.
 func (r *CommitRule) UnmarshalText(text []byte) error {
-	switch string(text) {
-	case "":
-		*r = 0
-	case "source":
-		*r = RuleSource
-	case "direct":
-		*r = RuleDirect
-	case "quorum":
-		*r = RuleQuorum
-	case "disjoint-chains":
-		*r = RuleDisjointChains
-	case "votes":
-		*r = RuleVotes
-	case "flood":
-		*r = RuleFlood
-	case "ready-quorum":
-		*r = RuleReadyQuorum
-	default:
-		return fmt.Errorf("rbcast: unknown commit rule %q", text)
-	}
-	return nil
+	return enumParse(r, "commit rule", commitRuleNames, text)
 }
 
 // EncodeTrace writes the events as JSON Lines: one compact JSON object per
@@ -283,6 +169,32 @@ func enumText(kind string, raw int, name string) ([]byte, error) {
 		return nil, fmt.Errorf("rbcast: cannot encode invalid %s %d", kind, raw)
 	}
 	return []byte(name), nil
+}
+
+// enumString is the shared String body: the value's entry in names, or
+// the Type(n) fallback spelling for values outside the table.
+func enumString[E ~int](typ string, names []string, v E) string {
+	if v > 0 && int(v) < len(names) {
+		return names[v]
+	}
+	return fmt.Sprintf("%s(%d)", typ, int(v))
+}
+
+// enumParse is the shared UnmarshalText body: "" restores the zero value,
+// a name in names its value; anything else is an error that leaves *dst
+// unchanged.
+func enumParse[E ~int](dst *E, kind string, names []string, text []byte) error {
+	if len(text) == 0 {
+		*dst = 0
+		return nil
+	}
+	for v := 1; v < len(names); v++ {
+		if names[v] == string(text) {
+			*dst = E(v)
+			return nil
+		}
+	}
+	return fmt.Errorf("rbcast: unknown %s %q", kind, text)
 }
 
 // MarshalText encodes the node as "x,y", which also makes Node usable as a

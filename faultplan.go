@@ -34,26 +34,20 @@ const (
 	PlacePercolation
 )
 
+// placementNames spells each Placement; String, MarshalText and UnmarshalText
+// all read it.
+var placementNames = []string{
+	PlaceNone:             "none",
+	PlaceBand:             "band",
+	PlaceCheckerboardBand: "checkerboard-band",
+	PlaceGreedyBand:       "greedy-band",
+	PlaceRandomBounded:    "random-bounded",
+	PlacePercolation:      "percolation",
+}
+
 // String names the placement ("none", "band", "checkerboard-band",
 // "greedy-band", "random-bounded", "percolation").
-func (p Placement) String() string {
-	switch p {
-	case PlaceNone:
-		return "none"
-	case PlaceBand:
-		return "band"
-	case PlaceCheckerboardBand:
-		return "checkerboard-band"
-	case PlaceGreedyBand:
-		return "greedy-band"
-	case PlaceRandomBounded:
-		return "random-bounded"
-	case PlacePercolation:
-		return "percolation"
-	default:
-		return fmt.Sprintf("Placement(%d)", int(p))
-	}
-}
+func (p Placement) String() string { return enumString("Placement", placementNames, p) }
 
 // Strategy selects Byzantine behaviour for the corrupted nodes. For
 // crash-stop experiments use StrategyCrash.
@@ -81,26 +75,20 @@ const (
 	StrategyEquivocator
 )
 
+// strategyNames spells each Strategy; String, MarshalText and UnmarshalText
+// all read it.
+var strategyNames = []string{
+	StrategyCrash:       "crash",
+	StrategySilent:      "silent",
+	StrategyLiar:        "liar",
+	StrategyForger:      "forger",
+	StrategySpoofer:     "spoofer",
+	StrategyEquivocator: "equivocator",
+}
+
 // String names the strategy ("crash", "silent", "liar", "forger",
 // "spoofer", "equivocator").
-func (s Strategy) String() string {
-	switch s {
-	case StrategyCrash:
-		return "crash"
-	case StrategySilent:
-		return "silent"
-	case StrategyLiar:
-		return "liar"
-	case StrategyForger:
-		return "forger"
-	case StrategySpoofer:
-		return "spoofer"
-	case StrategyEquivocator:
-		return "equivocator"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
+func (s Strategy) String() string { return enumString("Strategy", strategyNames, s) }
 
 // FaultPlan describes the adversary for one run. The JSON encoding (see
 // encode.go) uses snake_case keys and stable enum names, omits zero-valued

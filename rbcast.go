@@ -26,18 +26,16 @@ const (
 	MetricL2
 )
 
+// metricNames spells each Metric; String, MarshalText and UnmarshalText
+// all read it.
+var metricNames = []string{
+	MetricLinf: "linf",
+	MetricL2:   "l2",
+}
+
 // String names the metric ("linf", "l2") for logs, cache keys and metric
 // labels.
-func (m Metric) String() string {
-	switch m {
-	case MetricLinf:
-		return "linf"
-	case MetricL2:
-		return "l2"
-	default:
-		return fmt.Sprintf("Metric(%d)", int(m))
-	}
-}
+func (m Metric) String() string { return enumString("Metric", metricNames, m) }
 
 // Protocol selects a broadcast protocol.
 type Protocol int
@@ -68,25 +66,19 @@ const (
 	ProtocolBrachaAuth
 )
 
-// String names the protocol.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolFlood:
-		return "flood"
-	case ProtocolCPA:
-		return "cpa"
-	case ProtocolBV4:
-		return "bv4"
-	case ProtocolBV2:
-		return "bv2"
-	case ProtocolBracha:
-		return "bracha"
-	case ProtocolBrachaAuth:
-		return "bracha-auth"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
+// protocolNames spells each Protocol; String, MarshalText and UnmarshalText
+// all read it.
+var protocolNames = []string{
+	ProtocolFlood:      "flood",
+	ProtocolCPA:        "cpa",
+	ProtocolBV4:        "bv4",
+	ProtocolBV2:        "bv2",
+	ProtocolBracha:     "bracha",
+	ProtocolBrachaAuth: "bracha-auth",
 }
+
+// String names the protocol.
+func (p Protocol) String() string { return enumString("Protocol", protocolNames, p) }
 
 // Config describes a broadcast scenario. The JSON encoding (see encode.go)
 // uses snake_case keys and stable enum names, omits zero-valued fields, and

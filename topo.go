@@ -37,19 +37,16 @@ const (
 	TopologyCustom
 )
 
-// String names the topology family ("torus", "rgg", "custom").
-func (t Topology) String() string {
-	switch t {
-	case TopologyTorus:
-		return "torus"
-	case TopologyRGG:
-		return "rgg"
-	case TopologyCustom:
-		return "custom"
-	default:
-		return fmt.Sprintf("Topology(%d)", int(t))
-	}
+// topologyNames spells each Topology; String, MarshalText and UnmarshalText
+// all read it.
+var topologyNames = []string{
+	TopologyTorus:  "torus",
+	TopologyRGG:    "rgg",
+	TopologyCustom: "custom",
 }
+
+// String names the topology family ("torus", "rgg", "custom").
+func (t Topology) String() string { return enumString("Topology", topologyNames, t) }
 
 // GraphSpec is the explicit adjacency list of a TopologyCustom network.
 // Nodes are identified by dense indices 0..Nodes-1; every edge is an

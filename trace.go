@@ -35,26 +35,20 @@ const (
 	EventCommit
 )
 
+// eventKindNames spells each EventKind; String, MarshalText and UnmarshalText
+// all read it.
+var eventKindNames = []string{
+	EventBroadcast:    "broadcast",
+	EventDelivery:     "delivery",
+	EventEvidenceEval: "evidence-eval",
+	EventCrash:        "crash",
+	EventSpoof:        "spoof",
+	EventCommit:       "commit",
+}
+
 // String names the kind ("broadcast", "delivery", "evidence-eval",
 // "crash", "spoof", "commit").
-func (k EventKind) String() string {
-	switch k {
-	case EventBroadcast:
-		return "broadcast"
-	case EventDelivery:
-		return "delivery"
-	case EventEvidenceEval:
-		return "evidence-eval"
-	case EventCrash:
-		return "crash"
-	case EventSpoof:
-		return "spoof"
-	case EventCommit:
-		return "commit"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
+func (k EventKind) String() string { return enumString("EventKind", eventKindNames, k) }
 
 // CommitRule identifies which commit rule a certificate satisfied.
 type CommitRule int
@@ -80,28 +74,21 @@ const (
 	RuleReadyQuorum
 )
 
+// commitRuleNames spells each CommitRule; String, MarshalText and UnmarshalText
+// all read it.
+var commitRuleNames = []string{
+	RuleSource:         "source",
+	RuleDirect:         "direct",
+	RuleQuorum:         "quorum",
+	RuleDisjointChains: "disjoint-chains",
+	RuleVotes:          "votes",
+	RuleFlood:          "flood",
+	RuleReadyQuorum:    "ready-quorum",
+}
+
 // String names the rule ("source", "direct", "quorum", "disjoint-chains",
 // "votes", "flood", "ready-quorum").
-func (r CommitRule) String() string {
-	switch r {
-	case RuleSource:
-		return "source"
-	case RuleDirect:
-		return "direct"
-	case RuleQuorum:
-		return "quorum"
-	case RuleDisjointChains:
-		return "disjoint-chains"
-	case RuleVotes:
-		return "votes"
-	case RuleFlood:
-		return "flood"
-	case RuleReadyQuorum:
-		return "ready-quorum"
-	default:
-		return fmt.Sprintf("CommitRule(%d)", int(r))
-	}
-}
+func (r CommitRule) String() string { return enumString("CommitRule", commitRuleNames, r) }
 
 // TraceMessage is the protocol message carried by a broadcast or delivery
 // event, in the paper's vocabulary.
